@@ -7,6 +7,9 @@ depth/vector/table), a *diamond* image rewrites it into a gs-machine state
 functional, so checking the simulation means computing the image of the i-th
 it state and comparing it structurally with the i-th state of the other
 machine, plus requiring that both runs end the same way at the same step.
+The image of state i depends on state i alone, so lockstep steps the
+machines together, checks each step as it goes and stops at the first
+failure; it builds no list of past states.
 
 Machine states share almost all structure from one step to the next, so the
 mappers memoize by object identity (closure, spine, and translation caches
@@ -24,17 +27,17 @@ from .machines import (
     ClosureCT,
     ClosureGS,
     ClosureIT,
-    Final,
+    RULE_FINAL,
+    RULE_STUCK,
     State,
     StateCT,
     StateGS,
     StateIT,
-    Stuck,
     applicable_rules,
-    default_max_steps,
     initial_ct,
     initial_gs,
     initial_it,
+    resolve_max_steps,
     step_ct,
     step_gs,
     step_it,
@@ -290,18 +293,14 @@ def describe_state(s: State) -> str:
     return f"<{term} | {shape}>"
 
 
-def _machine_trace(state: State, step_fn, fuel: int):
-    """All states reachable within the fuel bound plus how the run ended."""
-    states = [state]
-    while True:
-        outcome = step_fn(states[-1])
-        if isinstance(outcome, Final):
-            return states, "final", None
-        if isinstance(outcome, Stuck):
-            return states, "stuck", outcome.reason
-        if len(states) - 1 >= fuel:
-            return states, "fuel", None
-        states.append(outcome.state)
+_HALTS = (RULE_FINAL, RULE_STUCK)
+
+
+def _run_end(rule: str, i: int, fuel: int) -> str:
+    """How a run stands once its state at step i has taken rule."""
+    if rule in _HALTS:
+        return rule
+    return "fuel" if i >= fuel else "running"
 
 
 def lockstep(t: TermGS, pair: str = "composed", max_steps: int | None = None) -> LockstepReport:
@@ -310,84 +309,60 @@ def lockstep(t: TermGS, pair: str = "composed", max_steps: int | None = None) ->
     star: the ct machine runs the translated term and every it state must map
     to the corresponding ct state. diamond: likewise against the gs machine on
     t itself. composed: both against one it run (which forces the ct and gs
-    runs to halt at the same step). Both runs must end the same way at the
-    same step; any Stuck outcome is reported as a divergence (well-scoped
-    closed inputs never get stuck).
+    runs to halt at the same step). At each step the images are compared (ct
+    before gs), then every state must have exactly one applicable rule, then
+    all runs must go on, or all end the same way; the first failure is
+    reported. A stuck outcome is always a divergence (well-scoped closed
+    inputs never get stuck).
     """
     if pair not in PAIRS:
         raise ValueError(f"unknown pair {pair!r} (expected one of {PAIRS})")
     _ensure_recursion_headroom()
-    fuel = default_max_steps() if max_steps is None else max_steps
+    fuel = resolve_max_steps(max_steps)
     maps = SimulationMaps()
     eq_memo: set[tuple[int, int]] = set()
 
-    it_states, it_end, it_reason = _machine_trace(initial_it(t), step_it, fuel)
-    sides = []
+    it_initial = initial_it(t)  # rejects open terms before down sees them
+    partners = []  # (name, step function, image of an it state)
+    states = []  # the partners' current states, then the it machine's
     if pair in ("star", "composed"):
-        compiled = down(t)
-        sides.append(("ct", _machine_trace(initial_ct(compiled), step_ct, fuel), lambda s: star_state(s, maps)))
+        partners.append(("ct", step_ct, lambda s: star_state(s, maps)))
+        states.append(initial_ct(down(t)))
     if pair in ("diamond", "composed"):
-        sides.append(("gs", _machine_trace(initial_gs(t), step_gs, fuel), lambda s: diamond_state(s, maps)))
+        partners.append(("gs", step_gs, lambda s: diamond_state(s, maps)))
+        states.append(initial_gs(t))
+    states.append(it_initial)
 
-    steps_checked = len(it_states) - 1
-    for name, (other_states, other_end, other_reason), mapper in sides:
-        common = min(len(it_states), len(other_states))
-        for i in range(common):
-            image = mapper(it_states[i])
-            if not deep_eq(image, other_states[i], eq_memo):
-                return LockstepReport(
-                    pair,
-                    i,
-                    "diverged",
-                    diverged_at=i,
-                    left=describe_state(image),
-                    right=describe_state(other_states[i]),
-                    detail=f"it-state image differs from {name} state at step {i}",
-                )
-        if len(it_states) != len(other_states) or it_end != other_end:
-            at = common - 1
-            return LockstepReport(
-                pair,
-                at,
-                "diverged",
-                diverged_at=at,
-                left=f"it run: {it_end} after {len(it_states) - 1} steps",
-                right=f"{name} run: {other_end} after {len(other_states) - 1} steps",
-                detail="runs did not end the same way at the same step",
-            )
-        if it_end == "stuck":
-            return LockstepReport(
-                pair,
-                steps_checked,
-                "diverged",
-                diverged_at=steps_checked,
-                left=f"it run: stuck ({it_reason})",
-                right=f"{name} run: stuck ({other_reason})",
-                detail="both machines got stuck (input was not well-scoped)",
-            )
-        ambiguous = _rule_dispatch_violation(pair, other_states)
-        if ambiguous is not None:
-            return ambiguous
+    i = 0
+    while True:
+        it_state = states[-1]
+        for (name, _, image_of), state in zip(partners, states):
+            image = image_of(it_state)
+            if not deep_eq(image, state, eq_memo):
+                detail = f"it-state image differs from {name} state at step {i}"
+                return _diverged(pair, i, describe_state(image), describe_state(state), detail)
+        for state in states:
+            n_rules = len(applicable_rules(state))
+            if n_rules != 1:
+                detail = "rule dispatch was not deterministic"
+                return _diverged(pair, i, describe_state(state), f"{n_rules} rules apply", detail)
 
-    ambiguous = _rule_dispatch_violation(pair, it_states)
-    if ambiguous is not None:
-        return ambiguous
-    outcome = "both_halted" if it_end == "final" else "fuel_exhausted"
-    return LockstepReport(pair, steps_checked, outcome)
+        it_rule, states[-1] = step_it(it_state)
+        for k, (name, step, _) in enumerate(partners):
+            rule, states[k] = step(states[k])
+            if rule != it_rule and (rule in _HALTS or it_rule in _HALTS):
+                left = f"it run: {_run_end(it_rule, i, fuel)} after {i} steps"
+                right = f"{name} run: {_run_end(rule, i, fuel)} after {i} steps"
+                return _diverged(pair, i, left, right, "runs did not end the same way at the same step")
+            if rule == RULE_STUCK:
+                left, right = f"it run: stuck ({states[-1]})", f"{name} run: stuck ({states[k]})"
+                return _diverged(pair, i, left, right, "both machines got stuck (input was not well-scoped)")
+        if it_rule == RULE_FINAL:
+            return LockstepReport(pair, i, "both_halted")
+        if i >= fuel:
+            return LockstepReport(pair, i, "fuel_exhausted")
+        i += 1
 
 
-def _rule_dispatch_violation(pair: str, states: list[State]) -> LockstepReport | None:
-    """Report the first state where the rule guards do not pick exactly one rule."""
-    for i, s in enumerate(states):
-        n_rules = len(applicable_rules(s))
-        if n_rules != 1:
-            return LockstepReport(
-                pair,
-                i,
-                "diverged",
-                diverged_at=i,
-                left=describe_state(s),
-                right=f"{n_rules} rules apply",
-                detail="rule dispatch was not deterministic",
-            )
-    return None
+def _diverged(pair: str, i: int, left: str, right: str, detail: str) -> LockstepReport:
+    return LockstepReport(pair, i, "diverged", diverged_at=i, left=left, right=right, detail=detail)

@@ -26,7 +26,7 @@ from . import bisim as bisim_mod
 from . import gen as gen_mod
 from .debruijn import to_debruijn_ct, to_debruijn_gs
 from .errors import WorkbenchError
-from .machines import RunResult, TraceEvent, default_max_steps, run
+from .machines import DEFAULT_MAX_STEPS, MAX_STEPS_ENV_VAR, RunResult, TraceEvent, run
 from .parser import parse
 from .safety import is_safe, safe_db, safe_named
 from .terms import print_term
@@ -114,7 +114,10 @@ def cmd_compile(args) -> int:
     path = Path(args.file)
     named = _load(path, "gs")
     compiled = down(to_debruijn_gs(named))
-    assert safe_db(compiled), "translation must produce a safe term"
+    if not safe_db(compiled):
+        # down is safe by construction; an unsafe image is a bug.
+        print(f"internal error: translation produced an unsafe term: {print_term(compiled)}", file=sys.stderr)
+        return EXIT_STUCK_OR_DIVERGED
     print(print_term(compiled))
     return EXIT_OK
 
@@ -225,7 +228,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_run.add_argument("file")
     p_run.add_argument("--calculus", choices=("ct", "gs"))
     p_run.add_argument("--machine", choices=("ct", "gs", "it"))
-    p_run.add_argument("--max-steps", type=int, default=None, help=f"fuel (default {default_max_steps()})")
+    p_run.add_argument(
+        "--max-steps", type=int, default=None, help=f"fuel (default ${MAX_STEPS_ENV_VAR} or {DEFAULT_MAX_STEPS})"
+    )
     p_run.add_argument("--trace", action="store_true", help="print one event per transition")
     p_run.add_argument("--format", choices=("text", "json"), default="text")
     p_run.set_defaults(func=cmd_run)

@@ -8,6 +8,7 @@ well-scoped by construction and translates without error. The catch/throw
 generators come in two flavors: visibility-respecting (safe by construction)
 and arbitrary-closed (variables drawn from all binders in scope, so a mix of
 safe and unsafe terms, which is what the equivalence and lift suites need).
+The index-form generators are the named ones followed by index conversion.
 
 Binder names are globally distinct within one term (x0, x1, ... / k0, k1,
 ...), which keeps the shadowing question out of the equivalence suites.
@@ -17,11 +18,8 @@ from __future__ import annotations
 
 import random
 
+from .debruijn import to_debruijn_ct, to_debruijn_gs
 from .terms import (
-    App,
-    Catch,
-    GetContext,
-    Lam,
     NamedTermCT,
     NamedTermGS,
     NApp,
@@ -31,11 +29,8 @@ from .terms import (
     NSetContext,
     NThrow,
     NVar,
-    SetContext,
     TermCT,
     TermGS,
-    Throw,
-    Var,
 )
 
 # Relative weights for feasible constructors.
@@ -122,83 +117,10 @@ def gen_named_gs(rng: random.Random, size: int) -> NamedTermGS:
 
 
 def gen_gs_db(rng: random.Random, size: int) -> TermGS:
-    """A closed, well-scoped index-form getctx/setctx term.
-
-    Local validity depends only on visible-vector lengths, so the generator
-    threads just those.
-    """
-    return _gen_gs_db(rng, max(1, size), 0, ())
-
-
-def _gen_gs_db(rng, size, visible_len, snapshot_lens):
-    choices = []
-    if visible_len > 0:
-        choices.append(("var", _W_VAR))
-    if size >= 3:
-        choices.append(("app", _W_APP))
-    if size >= 2:
-        choices.append(("lam", _W_LAM))
-        choices.append(("capture", _W_CAPTURE))
-        if snapshot_lens:
-            choices.append(("restore", _W_RESTORE))
-    if not choices or (size <= 1 and visible_len > 0):
-        if visible_len > 0:
-            return Var(rng.randrange(visible_len))
-        choices = [("lam", 1)]
-
-    match _pick(rng, choices):
-        case "var":
-            return Var(rng.randrange(visible_len))
-        case "app":
-            left = rng.randint(1, size - 2)
-            return App(
-                _gen_gs_db(rng, left, visible_len, snapshot_lens),
-                _gen_gs_db(rng, size - 1 - left, visible_len, snapshot_lens),
-            )
-        case "lam":
-            return Lam(_gen_gs_db(rng, size - 1, visible_len + 1, snapshot_lens))
-        case "capture":
-            return GetContext(_gen_gs_db(rng, size - 1, visible_len, (visible_len,) + snapshot_lens))
-        case "restore":
-            label = rng.randrange(len(snapshot_lens))
-            return SetContext(label, _gen_gs_db(rng, size - 1, snapshot_lens[label], snapshot_lens))
-    raise AssertionError("unreachable")
+    """A closed, well-scoped index-form getctx/setctx term."""
+    return to_debruijn_gs(gen_named_gs(rng, size))
 
 
 def gen_ct_db(rng: random.Random, size: int) -> TermCT:
     """A closed index-form catch/throw term, arbitrary (often unsafe)."""
-    return _gen_ct_db(rng, max(1, size), 0, 0)
-
-
-def _gen_ct_db(rng, size, lam_depth, label_depth):
-    choices = []
-    if lam_depth > 0:
-        choices.append(("var", _W_VAR))
-    if size >= 3:
-        choices.append(("app", _W_APP))
-    if size >= 2:
-        choices.append(("lam", _W_LAM))
-        choices.append(("capture", _W_CAPTURE))
-        if label_depth > 0:
-            choices.append(("restore", _W_RESTORE))
-    if not choices or (size <= 1 and lam_depth > 0):
-        if lam_depth > 0:
-            return Var(rng.randrange(lam_depth))
-        choices = [("lam", 1)]
-
-    match _pick(rng, choices):
-        case "var":
-            return Var(rng.randrange(lam_depth))
-        case "app":
-            left = rng.randint(1, size - 2)
-            return App(
-                _gen_ct_db(rng, left, lam_depth, label_depth),
-                _gen_ct_db(rng, size - 1 - left, lam_depth, label_depth),
-            )
-        case "lam":
-            return Lam(_gen_ct_db(rng, size - 1, lam_depth + 1, label_depth))
-        case "capture":
-            return Catch(_gen_ct_db(rng, size - 1, lam_depth, label_depth + 1))
-        case "restore":
-            return Throw(rng.randrange(label_depth), _gen_ct_db(rng, size - 1, lam_depth, label_depth))
-    raise AssertionError("unreachable")
+    return to_debruijn_ct(gen_named_ct(rng, size, unsafe_ok=True))

@@ -12,8 +12,10 @@ closures, an abstraction meeting an empty stack is the final configuration.
     machine plus the depth/vector/table indirection that resolves local
     indices at run time.
 
-Step functions are pure: they return the next state (or Final/Stuck) and
-never mutate. Environments, stacks, vectors and tables are persistent lists,
+Step functions are pure and never mutate. Each returns (rule, successor):
+one of the RULE_* tags naming the rule it applied, and the next state for a
+transition, the value closure for RULE_FINAL, or the reason string for
+RULE_STUCK. Environments, stacks, vectors and tables are persistent lists,
 so every capture is O(1) and shares structure.
 """
 
@@ -44,6 +46,14 @@ from .terms import (
 UNBOUND_VAR = "unbound_var"
 UNBOUND_MU = "unbound_mu"
 
+RULE_VAR = "var"
+RULE_APP = "app"
+RULE_LAM = "lam"
+RULE_CAPTURE = "catch_or_get"
+RULE_RESTORE = "throw_or_set"
+RULE_FINAL = "final"
+RULE_STUCK = "stuck"
+
 DEFAULT_MAX_STEPS = 1_000_000
 MAX_STEPS_ENV_VAR = "COROUTINE_VM_MAX_STEPS"
 
@@ -57,6 +67,14 @@ def default_max_steps() -> int:
         return int(raw)
     except ValueError:
         raise WorkbenchError(f"{MAX_STEPS_ENV_VAR} must be an integer, got {raw!r}") from None
+
+
+def resolve_max_steps(max_steps: int | None) -> int:
+    """The fuel for one run: max_steps, or default_max_steps() when it is None."""
+    fuel = default_max_steps() if max_steps is None else max_steps
+    if fuel < 0:
+        raise WorkbenchError(f"max steps must not be negative, got {fuel}")
+    return fuel
 
 # ---------------------------------------------------------------------------
 # States
@@ -128,109 +146,89 @@ class StateIT:
 State = Union[StateCT, StateGS, StateIT]
 Closure = Union[ClosureCT, ClosureGS, ClosureIT]
 
-# ---------------------------------------------------------------------------
-# Step outcomes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class Next:
-    state: State
-
-
-@dataclass(frozen=True, slots=True)
-class Final:
-    closure: Closure
-
-
-@dataclass(frozen=True, slots=True)
-class Stuck:
-    reason: str
-
-
-StepOutcome = Union[Next, Final, Stuck]
+Step = tuple[str, Union[State, Closure, str]]  # (rule, successor)
 
 # ---------------------------------------------------------------------------
 # Transition rules
 # ---------------------------------------------------------------------------
 
 
-def step_ct(s: StateCT) -> StepOutcome:
+def step_ct(s: StateCT) -> Step:
     match s.term:
         case Var(index):
             if index >= len(s.env):
-                return Stuck(UNBOUND_VAR)
+                return RULE_STUCK, UNBOUND_VAR
             entered: ClosureCT = s.env[index]
-            return Next(StateCT(entered.term, entered.env, entered.mu_env, s.stack))
+            return RULE_VAR, StateCT(entered.term, entered.env, entered.mu_env, s.stack)
         case App(fn, arg):
             pushed = ClosureCT(arg, s.env, s.mu_env)
-            return Next(StateCT(fn, s.env, s.mu_env, s.stack.cons(pushed)))
+            return RULE_APP, StateCT(fn, s.env, s.mu_env, s.stack.cons(pushed))
         case Lam(body):
             if not s.stack:
-                return Final(s.closure())
-            return Next(StateCT(body, s.env.cons(s.stack.head), s.mu_env, s.stack.tail))
+                return RULE_FINAL, s.closure()
+            return RULE_LAM, StateCT(body, s.env.cons(s.stack.head), s.mu_env, s.stack.tail)
         case Catch(body):
-            return Next(StateCT(body, s.env, s.mu_env.cons(s.stack), s.stack))
+            return RULE_CAPTURE, StateCT(body, s.env, s.mu_env.cons(s.stack), s.stack)
         case Throw(label, body):
             if label >= len(s.mu_env):
-                return Stuck(UNBOUND_MU)
-            return Next(StateCT(body, s.env, s.mu_env, s.mu_env[label]))
+                return RULE_STUCK, UNBOUND_MU
+            return RULE_RESTORE, StateCT(body, s.env, s.mu_env, s.mu_env[label])
     raise TypeError(f"not a catch/throw term: {s.term!r}")
 
 
-def step_gs(s: StateGS) -> StepOutcome:
+def step_gs(s: StateGS) -> Step:
     match s.term:
         case Var(index):
             if index >= len(s.lenv):
-                return Stuck(UNBOUND_VAR)
+                return RULE_STUCK, UNBOUND_VAR
             entered: ClosureGS = s.lenv[index]
-            return Next(StateGS(entered.term, entered.lenv, entered.lenv_mu, entered.mu_env, s.stack))
+            return RULE_VAR, StateGS(entered.term, entered.lenv, entered.lenv_mu, entered.mu_env, s.stack)
         case App(fn, arg):
             pushed = ClosureGS(arg, s.lenv, s.lenv_mu, s.mu_env)
-            return Next(StateGS(fn, s.lenv, s.lenv_mu, s.mu_env, s.stack.cons(pushed)))
+            return RULE_APP, StateGS(fn, s.lenv, s.lenv_mu, s.mu_env, s.stack.cons(pushed))
         case Lam(body):
             if not s.stack:
-                return Final(s.closure())
-            return Next(StateGS(body, s.lenv.cons(s.stack.head), s.lenv_mu, s.mu_env, s.stack.tail))
+                return RULE_FINAL, s.closure()
+            return RULE_LAM, StateGS(body, s.lenv.cons(s.stack.head), s.lenv_mu, s.mu_env, s.stack.tail)
         case GetContext(body):
-            return Next(StateGS(body, s.lenv, s.lenv_mu.cons(s.lenv), s.mu_env.cons(s.stack), s.stack))
+            return RULE_CAPTURE, StateGS(body, s.lenv, s.lenv_mu.cons(s.lenv), s.mu_env.cons(s.stack), s.stack)
         case SetContext(label, body):
             if len(s.lenv_mu) != len(s.mu_env) or label >= len(s.lenv_mu):
-                return Stuck(UNBOUND_MU)
-            return Next(StateGS(body, s.lenv_mu[label], s.lenv_mu, s.mu_env, s.mu_env[label]))
+                return RULE_STUCK, UNBOUND_MU
+            return RULE_RESTORE, StateGS(body, s.lenv_mu[label], s.lenv_mu, s.mu_env, s.mu_env[label])
     raise TypeError(f"not a getctx/setctx term: {s.term!r}")
 
 
-def step_it(s: StateIT) -> StepOutcome:
+def step_it(s: StateIT) -> Step:
     match s.term:
         case Var(index):
             if index >= len(s.vec):
-                return Stuck(UNBOUND_VAR)
+                return RULE_STUCK, UNBOUND_VAR
             resolved = s.depth - s.vec[index]
             if resolved < 0 or resolved >= len(s.env):
-                return Stuck(UNBOUND_VAR)
+                return RULE_STUCK, UNBOUND_VAR
             entered: ClosureIT = s.env[resolved]
-            return Next(
-                StateIT(entered.term, entered.depth, entered.vec, entered.table, entered.env, entered.mu_env, s.stack)
+            return RULE_VAR, StateIT(
+                entered.term, entered.depth, entered.vec, entered.table, entered.env, entered.mu_env, s.stack
             )
         case App(fn, arg):
             pushed = ClosureIT(arg, s.depth, s.vec, s.table, s.env, s.mu_env)
-            return Next(StateIT(fn, s.depth, s.vec, s.table, s.env, s.mu_env, s.stack.cons(pushed)))
+            return RULE_APP, StateIT(fn, s.depth, s.vec, s.table, s.env, s.mu_env, s.stack.cons(pushed))
         case Lam(body):
             if not s.stack:
-                return Final(s.closure())
+                return RULE_FINAL, s.closure()
             deeper = s.depth + 1
-            return Next(
-                StateIT(body, deeper, s.vec.cons(deeper), s.table, s.env.cons(s.stack.head), s.mu_env, s.stack.tail)
+            return RULE_LAM, StateIT(
+                body, deeper, s.vec.cons(deeper), s.table, s.env.cons(s.stack.head), s.mu_env, s.stack.tail
             )
         case GetContext(body):
-            return Next(
-                StateIT(body, s.depth, s.vec, s.table.cons(s.vec), s.env, s.mu_env.cons(s.stack), s.stack)
+            return RULE_CAPTURE, StateIT(
+                body, s.depth, s.vec, s.table.cons(s.vec), s.env, s.mu_env.cons(s.stack), s.stack
             )
         case SetContext(label, body):
             if len(s.table) != len(s.mu_env) or label >= len(s.table):
-                return Stuck(UNBOUND_MU)
-            return Next(StateIT(body, s.depth, s.table[label], s.table, s.env, s.mu_env, s.mu_env[label]))
+                return RULE_STUCK, UNBOUND_MU
+            return RULE_RESTORE, StateIT(body, s.depth, s.table[label], s.table, s.env, s.mu_env, s.mu_env[label])
     raise TypeError(f"not a getctx/setctx term: {s.term!r}")
 
 # ---------------------------------------------------------------------------
@@ -256,16 +254,8 @@ def initial_it(t: TermGS) -> StateIT:
     return StateIT(t, 0, NIL, NIL, NIL, NIL, NIL)
 
 # ---------------------------------------------------------------------------
-# Rule classification (shared by the tracer and the determinism checks)
+# Guard-based rule oracle (for the determinism checks)
 # ---------------------------------------------------------------------------
-
-RULE_VAR = "var"
-RULE_APP = "app"
-RULE_LAM = "lam"
-RULE_CAPTURE = "catch_or_get"
-RULE_RESTORE = "throw_or_set"
-RULE_FINAL = "final"
-RULE_STUCK = "stuck"
 
 
 def _var_guard(s: State) -> bool:
@@ -336,30 +326,11 @@ class RunResult:
     events: tuple[TraceEvent, ...] | None = None
 
 
-MACHINES: dict[str, tuple[Callable[..., State], Callable[[State], StepOutcome]]] = {
+MACHINES: dict[str, tuple[Callable[..., State], Callable[[State], Step]]] = {
     "ct": (initial_ct, step_ct),
     "gs": (initial_gs, step_gs),
     "it": (initial_it, step_it),
 }
-
-
-def _mu_count(s: State) -> int:
-    return len(s.mu_env)
-
-
-def _transition_rule(s: State) -> str:
-    match s.term:
-        case Var():
-            return RULE_VAR
-        case App():
-            return RULE_APP
-        case Lam():
-            return RULE_LAM
-        case Catch() | GetContext():
-            return RULE_CAPTURE
-        case Throw() | SetContext():
-            return RULE_RESTORE
-    raise TypeError(f"not a term: {s.term!r}")
 
 
 def run(term: Term, machine: str, max_steps: int | None = None, collect_trace: bool = False) -> RunResult:
@@ -371,39 +342,23 @@ def run(term: Term, machine: str, max_steps: int | None = None, collect_trace: b
     """
     if machine not in MACHINES:
         raise ValueError(f"unknown machine {machine!r} (expected 'ct', 'gs' or 'it')")
-    initial, _ = MACHINES[machine]
-    return run_from(initial(term), machine, max_steps, collect_trace)
-
-
-def run_from(state: State, machine: str, max_steps: int | None = None, collect_trace: bool = False) -> RunResult:
-    """Like run, but starting from an arbitrary machine state."""
-    _, step = MACHINES[machine]
-    fuel = default_max_steps() if max_steps is None else max_steps
+    initial, step = MACHINES[machine]
+    state = initial(term)
+    fuel = resolve_max_steps(max_steps)
     events: list[TraceEvent] | None = [] if collect_trace else None
     steps = 0
     while True:
-        outcome = step(state)
-        if isinstance(outcome, Final):
-            if events is not None:
-                events.append(
-                    TraceEvent(steps, machine, RULE_FINAL, print_term(state.term), len(state.stack), _mu_count(state))
-                )
-            return RunResult("final", steps, closure=outcome.closure, events=_freeze(events))
-        if isinstance(outcome, Stuck):
-            if events is not None:
-                events.append(
-                    TraceEvent(steps, machine, RULE_STUCK, print_term(state.term), len(state.stack), _mu_count(state))
-                )
-            return RunResult("stuck", steps, reason=outcome.reason, last_state=state, events=_freeze(events))
-        if steps >= fuel:
-            return RunResult("fuel_exhausted", steps, last_state=state, events=_freeze(events))
-        if events is not None:
-            events.append(
-                TraceEvent(steps, machine, _transition_rule(state), print_term(state.term), len(state.stack), _mu_count(state))
-            )
-        state = outcome.state
+        rule, successor = step(state)
+        halted = rule == RULE_FINAL or rule == RULE_STUCK
+        if events is not None and (halted or steps < fuel):
+            events.append(TraceEvent(steps, machine, rule, print_term(state.term), len(state.stack), len(state.mu_env)))
+        if halted or steps >= fuel:
+            break
+        state = successor
         steps += 1
-
-
-def _freeze(events: list[TraceEvent] | None) -> tuple[TraceEvent, ...] | None:
-    return None if events is None else tuple(events)
+    trace = None if events is None else tuple(events)
+    if rule == RULE_FINAL:
+        return RunResult("final", steps, closure=successor, events=trace)
+    if rule == RULE_STUCK:
+        return RunResult("stuck", steps, reason=successor, last_state=state, events=trace)
+    return RunResult("fuel_exhausted", steps, last_state=state, events=trace)

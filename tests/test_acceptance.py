@@ -15,7 +15,18 @@ from coroutine_vm.bisim import lockstep
 from coroutine_vm.debruijn import to_debruijn_ct, to_debruijn_gs
 from coroutine_vm.errors import NotSafeError
 from coroutine_vm.gen import gen_ct_db, gen_gs_db, gen_named_ct
-from coroutine_vm.machines import applicable_rules, initial_ct, initial_gs, initial_it, run, step_ct, step_gs, step_it
+from coroutine_vm.machines import (
+    RULE_FINAL,
+    RULE_STUCK,
+    applicable_rules,
+    initial_ct,
+    initial_gs,
+    initial_it,
+    run,
+    step_ct,
+    step_gs,
+    step_it,
+)
 from coroutine_vm.parser import parse, parse_ct
 from coroutine_vm.safety import is_safe, safe_db, safe_named
 from coroutine_vm.terms import print_term
@@ -151,12 +162,11 @@ def test_criterion_7_determinism_and_no_stuck(gs_corpus):
                 for _ in range(LOCKSTEP_FUEL + 1):
                     rules = applicable_rules(state)
                     assert len(rules) == 1, (print_term(term), rules)
-                    outcome = step(state)
-                    kind = type(outcome).__name__
-                    assert kind != "Stuck", print_term(term)
-                    if kind != "Next":
+                    rule, successor = step(state)
+                    assert rule != RULE_STUCK, print_term(term)
+                    if rule == RULE_FINAL:
                         break
-                    state = outcome.state
+                    state = successor
 
     _report(7, "exactly one rule per reachable state and no stuck outcomes", None, work)
 

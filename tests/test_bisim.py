@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,13 +15,13 @@ from coroutine_vm.bisim import (
     star_closure,
     star_state,
 )
-from coroutine_vm.errors import OpenTermError, UnsafeLocalIndexError
+from coroutine_vm.errors import OpenTermError, UnsafeLocalIndexError, WorkbenchError
 from coroutine_vm.gen import gen_ct_db, gen_gs_db
 from coroutine_vm.machines import (
+    RULE_FINAL,
+    RULE_STUCK,
     ClosureGS,
     ClosureIT,
-    Final,
-    Next,
     StateCT,
     initial_ct,
     initial_gs,
@@ -42,10 +43,10 @@ OMEGA = App(Lam(App(Var(0), Var(0))), Lam(App(Var(0), Var(0))))
 def _trace(state, step):
     states = [state]
     while True:
-        out = step(states[-1])
-        if not isinstance(out, Next):
+        rule, successor = step(states[-1])
+        if rule in (RULE_FINAL, RULE_STUCK):
             return states
-        states.append(out.state)
+        states.append(successor)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +224,11 @@ def test_lockstep_bad_pair():
         lockstep(IDENT, "rhombus", 10)
 
 
+def test_lockstep_rejects_negative_fuel():
+    with pytest.raises(WorkbenchError):
+        lockstep(OMEGA, "composed", -1)
+
+
 def test_lockstep_random_terms_all_related():
     rng = random.Random(31)
     for _ in range(150):
@@ -238,11 +244,10 @@ def test_lockstep_detects_tampered_machine(monkeypatch):
 
     def tampered(state):
         calls["n"] += 1
-        out = genuine(state)
-        if calls["n"] == 3 and isinstance(out, Next) and out.state.stack:
-            s = out.state
-            return Next(StateCT(s.term, s.env, s.mu_env, s.stack.tail))
-        return out
+        rule, s = genuine(state)
+        if calls["n"] == 3 and rule not in (RULE_FINAL, RULE_STUCK) and s.stack:
+            return rule, StateCT(s.term, s.env, s.mu_env, s.stack.tail)
+        return rule, s
 
     monkeypatch.setattr(bisim, "step_ct", tampered)
     term = App(App(IDENT, IDENT), App(IDENT, IDENT))
@@ -259,13 +264,53 @@ def test_lockstep_detects_early_halt(monkeypatch):
     def early_final(state):
         calls["n"] += 1
         if calls["n"] == 2:
-            return Final(state.closure())
+            return RULE_FINAL, state.closure()
         return genuine(state)
 
     monkeypatch.setattr(bisim, "step_gs", early_final)
     report = lockstep(GS_DEMO, "diamond", 100)
     assert report.outcome == "diverged"
+    assert report.diverged_at == 1
     assert "did not end the same way" in report.detail
+
+
+def _fault_at_call(genuine, at, fault):
+    # call number `at` of a step function steps state `at - 1`: replace its (rule, successor)
+    calls = {"n": 0}
+
+    def step(state):
+        calls["n"] += 1
+        rule, successor = genuine(state)
+        return fault(rule, successor) if calls["n"] == at else (rule, successor)
+
+    return step
+
+
+def test_lockstep_reports_both_machines_stuck(monkeypatch):
+    monkeypatch.setattr(bisim, "step_it", _fault_at_call(step_it, 2, lambda *_: (RULE_STUCK, "it-reason")))
+    monkeypatch.setattr(bisim, "step_gs", _fault_at_call(step_gs, 2, lambda *_: (RULE_STUCK, "gs-reason")))
+    report = lockstep(GS_DEMO, "diamond", 100)
+    assert report.outcome == "diverged"
+    assert report.diverged_at == report.steps_checked == 1
+    assert report.detail == "both machines got stuck (input was not well-scoped)"
+    assert (report.left, report.right) == ("it run: stuck (it-reason)", "gs run: stuck (gs-reason)")
+
+
+def test_lockstep_composed_reports_earliest_divergence(monkeypatch):
+    def extra_stack_entry(extra):
+        return lambda rule, s: (rule, replace(s, stack=s.stack.cons(extra)))
+
+    ct_fault = extra_stack_entry(initial_ct(down(IDENT)).closure())
+    monkeypatch.setattr(bisim, "step_ct", _fault_at_call(step_ct, 4, ct_fault))
+    alone = lockstep(OMEGA, "composed", 50)
+    assert (alone.diverged_at, alone.detail) == (4, "it-state image differs from ct state at step 4")
+
+    monkeypatch.setattr(bisim, "step_ct", _fault_at_call(step_ct, 4, ct_fault))
+    monkeypatch.setattr(bisim, "step_gs", _fault_at_call(step_gs, 2, extra_stack_entry(initial_gs(IDENT).closure())))
+    report = lockstep(OMEGA, "composed", 50)
+    assert report.outcome == "diverged"
+    assert report.diverged_at == report.steps_checked == 2
+    assert report.detail == "it-state image differs from gs state at step 2"
 
 
 def test_report_serialization():

@@ -1,7 +1,8 @@
 import json
 
+from coroutine_vm import cli
 from coroutine_vm.cli import main
-from coroutine_vm.debruijn import to_debruijn_gs
+from coroutine_vm.debruijn import to_debruijn_ct, to_debruijn_gs
 from coroutine_vm.parser import parse_ct, parse_gs
 from coroutine_vm.safety import safe_db
 from coroutine_vm.terms import NLam, NVar
@@ -64,6 +65,16 @@ def test_compile_rejects_invisible_variable(corpus_dir):
     assert main(["compile", _corpus(corpus_dir, "bad.gs")]) == 1
 
 
+def test_compile_reports_unsafe_translation_as_internal_error(corpus_dir, capsys, monkeypatch):
+    # down is safe by construction; if it ever is not, compile must say so, not crash
+    unsafe = to_debruijn_ct(parse_ct(r"\x. catch a. \y. throw a y"))
+    monkeypatch.setattr(cli, "down", lambda term: unsafe)
+    assert main(["compile", _corpus(corpus_dir, "ctx.gs")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+
+
 def test_run_demo_gs(corpus_dir, capsys):
     assert main(["run", _corpus(corpus_dir, "ctx_demo.gs"), "--machine", "gs"]) == 0
     assert "final after 2 steps" in capsys.readouterr().out
@@ -72,6 +83,25 @@ def test_run_demo_gs(corpus_dir, capsys):
 def test_run_omega_exhausts_fuel(corpus_dir, capsys):
     assert main(["run", _corpus(corpus_dir, "omega.ct"), "--machine", "ct", "--max-steps", "50"]) == 3
     assert "fuel exhausted" in capsys.readouterr().out
+
+
+def test_negative_fuel_is_an_input_error(corpus_dir, capsys, monkeypatch):
+    omega = _corpus(corpus_dir, "omega.gs")
+    for argv in (["run", omega, "--max-steps", "-1"], ["bisim", omega, "--max-steps", "-1"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "negative" in captured.err
+    monkeypatch.setenv("COROUTINE_VM_MAX_STEPS", "-5")
+    for argv in (["run", omega], ["bisim", omega]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_malformed_fuel_variable_is_an_input_error(corpus_dir, capsys, monkeypatch):
+    monkeypatch.setenv("COROUTINE_VM_MAX_STEPS", "lots")
+    assert main(["run", _corpus(corpus_dir, "omega.gs")]) == 1
+    assert capsys.readouterr().err.startswith("error: COROUTINE_VM_MAX_STEPS must be an integer")
 
 
 def test_run_demo_it_trace(corpus_dir, capsys):

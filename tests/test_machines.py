@@ -4,15 +4,19 @@ import pytest
 
 from coroutine_vm.bisim import deep_eq
 from coroutine_vm.debruijn import to_debruijn_ct, to_debruijn_gs
-from coroutine_vm.errors import OpenTermError
+from coroutine_vm.errors import OpenTermError, WorkbenchError
 from coroutine_vm.gen import gen_gs_db
 from coroutine_vm.machines import (
     ClosureCT,
     ClosureGS,
     ClosureIT,
-    Final,
-    Next,
-    Stuck,
+    RULE_APP,
+    RULE_CAPTURE,
+    RULE_FINAL,
+    RULE_LAM,
+    RULE_RESTORE,
+    RULE_STUCK,
+    RULE_VAR,
     StateCT,
     StateGS,
     StateIT,
@@ -29,6 +33,7 @@ from coroutine_vm.machines import (
 from coroutine_vm.parser import parse_ct, parse_gs
 from coroutine_vm.plist import NIL, plist
 from coroutine_vm.terms import App, Catch, GetContext, Lam, SetContext, Throw, Var
+from coroutine_vm.translate import down
 
 CT_DEMO = Catch(Throw(0, Lam(Var(0))))
 GS_DEMO = GetContext(SetContext(0, Lam(Var(0))))
@@ -36,50 +41,57 @@ GS_DEMO = GetContext(SetContext(0, Lam(Var(0))))
 
 def test_ct_demo_hand_trace():
     s0 = initial_ct(CT_DEMO)
-    s1 = step_ct(s0).state
+    rule, s1 = step_ct(s0)
+    assert rule == RULE_CAPTURE
     assert s1 == StateCT(Throw(0, Lam(Var(0))), NIL, plist([NIL]), NIL)
-    s2 = step_ct(s1).state
+    rule, s2 = step_ct(s1)
+    assert rule == RULE_RESTORE
     assert s2 == StateCT(Lam(Var(0)), NIL, plist([NIL]), NIL)
     end = step_ct(s2)
-    assert end == Final(ClosureCT(Lam(Var(0)), NIL, plist([NIL])))
+    assert end == (RULE_FINAL, ClosureCT(Lam(Var(0)), NIL, plist([NIL])))
 
 
 def test_gs_demo_hand_trace():
     s0 = initial_gs(GS_DEMO)
-    s1 = step_gs(s0).state
+    rule, s1 = step_gs(s0)
+    assert rule == RULE_CAPTURE
     assert s1 == StateGS(SetContext(0, Lam(Var(0))), NIL, plist([NIL]), plist([NIL]), NIL)
-    s2 = step_gs(s1).state
+    rule, s2 = step_gs(s1)
+    assert rule == RULE_RESTORE
     assert s2 == StateGS(Lam(Var(0)), NIL, plist([NIL]), plist([NIL]), NIL)
-    assert isinstance(step_gs(s2), Final)
+    assert step_gs(s2)[0] == RULE_FINAL
 
 
 def test_it_application_hand_trace():
     ident = Lam(Var(0))
     s0 = initial_it(App(ident, ident))
     arg_closure = ClosureIT(ident, 0, NIL, NIL, NIL, NIL)
-    s1 = step_it(s0).state
+    rule, s1 = step_it(s0)
+    assert rule == RULE_APP
     assert s1 == StateIT(ident, 0, NIL, NIL, NIL, NIL, plist([arg_closure]))
-    s2 = step_it(s1).state
+    rule, s2 = step_it(s1)
+    assert rule == RULE_LAM
     assert s2 == StateIT(Var(0), 1, plist([1]), NIL, plist([arg_closure]), NIL, NIL)
-    s3 = step_it(s2).state
+    rule, s3 = step_it(s2)
+    assert rule == RULE_VAR
     assert s3 == StateIT(ident, 0, NIL, NIL, NIL, NIL, NIL)
-    assert isinstance(step_it(s3), Final)
+    assert step_it(s3)[0] == RULE_FINAL
 
 
 def test_ct_application_rule_shape():
     env = plist([ClosureCT(Lam(Var(0)), NIL, NIL)])
     state = StateCT(App(Var(0), Var(0)), env, NIL, NIL)
-    out = step_ct(state)
-    assert isinstance(out, Next)
-    assert out.state.term == Var(0)
-    assert out.state.stack.head == ClosureCT(Var(0), env, NIL)
-    assert out.state.stack.head.env is env  # captured by reference, not copied
+    rule, out = step_ct(state)
+    assert rule == RULE_APP
+    assert out.term == Var(0)
+    assert out.stack.head == ClosureCT(Var(0), env, NIL)
+    assert out.stack.head.env is env  # captured by reference, not copied
 
 
 def test_gs_capture_rule_pushes_both_maps():
     stack = plist([ClosureGS(Lam(Var(0)), NIL, NIL, NIL)])
     state = StateGS(GetContext(Var(0)), NIL, NIL, NIL, stack)
-    out = step_gs(state).state
+    _, out = step_gs(state)
     assert out.lenv_mu.head is state.lenv
     assert out.mu_env.head is stack
     assert out.stack is stack
@@ -88,7 +100,7 @@ def test_gs_capture_rule_pushes_both_maps():
 def test_it_lam_rule_threads_depth():
     c = ClosureIT(Lam(Var(0)), 0, NIL, NIL, NIL, NIL)
     state = StateIT(Lam(Var(0)), 3, plist([3, 1]), NIL, plist([c]), NIL, plist([c]))
-    out = step_it(state).state
+    _, out = step_it(state)
     assert out.depth == 4
     assert list(out.vec) == [4, 3, 1]
     assert out.env.head is c
@@ -96,19 +108,19 @@ def test_it_lam_rule_threads_depth():
 
 
 def test_final_only_on_lam_with_empty_stack():
-    assert isinstance(step_ct(StateCT(Lam(Var(0)), NIL, NIL, NIL)), Final)
+    assert step_ct(StateCT(Lam(Var(0)), NIL, NIL, NIL))[0] == RULE_FINAL
     pushed = plist([ClosureCT(Lam(Var(0)), NIL, NIL)])
-    assert isinstance(step_ct(StateCT(Lam(Var(0)), NIL, NIL, pushed)), Next)
+    assert step_ct(StateCT(Lam(Var(0)), NIL, NIL, pushed))[0] == RULE_LAM
 
 
 def test_stuck_reasons():
-    assert step_ct(StateCT(Var(3), NIL, NIL, NIL)) == Stuck("unbound_var")
-    assert step_ct(StateCT(Throw(0, Lam(Var(0))), NIL, NIL, NIL)) == Stuck("unbound_mu")
-    assert step_gs(StateGS(Var(0), NIL, NIL, NIL, NIL)) == Stuck("unbound_var")
-    assert step_gs(StateGS(SetContext(0, Var(0)), NIL, NIL, NIL, NIL)) == Stuck("unbound_mu")
-    assert step_it(StateIT(Var(0), 0, NIL, NIL, NIL, NIL, NIL)) == Stuck("unbound_var")
+    assert step_ct(StateCT(Var(3), NIL, NIL, NIL)) == (RULE_STUCK, "unbound_var")
+    assert step_ct(StateCT(Throw(0, Lam(Var(0))), NIL, NIL, NIL)) == (RULE_STUCK, "unbound_mu")
+    assert step_gs(StateGS(Var(0), NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_var")
+    assert step_gs(StateGS(SetContext(0, Var(0)), NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_mu")
+    assert step_it(StateIT(Var(0), 0, NIL, NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_var")
     # vector entry resolving outside the environment is also an unbound variable
-    assert step_it(StateIT(Var(0), 2, plist([1]), NIL, NIL, NIL, NIL)) == Stuck("unbound_var")
+    assert step_it(StateIT(Var(0), 2, plist([1]), NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_var")
 
 
 def test_initial_rejects_open_terms():
@@ -159,18 +171,24 @@ def test_run_is_deterministic():
 
 
 def test_exactly_one_rule_applies_in_reachable_states():
+    # the guard-based oracle and the step functions' own dispatch agree
     rng = random.Random(4)
+    machines = (
+        (lambda t: initial_gs(t), step_gs),
+        (lambda t: initial_it(t), step_it),
+        (lambda t: initial_ct(down(t)), step_ct),
+    )
     for _ in range(50):
         term = gen_gs_db(rng, rng.randint(1, 30))
-        for machine in ("gs", "it"):
-            state = initial_gs(term) if machine == "gs" else initial_it(term)
-            step = step_gs if machine == "gs" else step_it
+        for make_initial, step in machines:
+            state = make_initial(term)
             for _ in range(100):
                 assert len(applicable_rules(state)) == 1
-                out = step(state)
-                if not isinstance(out, Next):
+                rule, successor = step(state)
+                assert applicable_rules(state) == [rule]
+                if rule == RULE_FINAL:
                     break
-                state = out.state
+                state = successor
 
 
 def test_rerun_from_saved_state_reproduces_suffix():
@@ -180,20 +198,20 @@ def test_rerun_from_saved_state_reproduces_suffix():
     state = initial_gs(term)
     states = [state]
     while True:
-        out = step_gs(state)
-        if not isinstance(out, Next):
+        rule, successor = step_gs(state)
+        if rule in (RULE_FINAL, RULE_STUCK):
             break
-        state = out.state
+        state = successor
         states.append(state)
     assert len(states) > 4
     saved = states[3]
     replay = [saved]
     state = saved
     while True:
-        out = step_gs(state)
-        if not isinstance(out, Next):
+        rule, successor = step_gs(state)
+        if rule in (RULE_FINAL, RULE_STUCK):
             break
-        state = out.state
+        state = successor
         replay.append(state)
     assert len(replay) == len(states) - 3
     for original, again in zip(states[3:], replay):
@@ -209,6 +227,16 @@ def test_max_steps_env_override(monkeypatch):
     assert result.steps == 7
     monkeypatch.delenv("COROUTINE_VM_MAX_STEPS")
     assert default_max_steps() == 1_000_000
+
+
+def test_negative_fuel_rejected(monkeypatch):
+    omega = to_debruijn_ct(parse_ct(r"(\x. x x) (\x. x x)"))
+    with pytest.raises(WorkbenchError):
+        run(omega, "ct", max_steps=-1)
+    monkeypatch.setenv("COROUTINE_VM_MAX_STEPS", "-5")
+    with pytest.raises(WorkbenchError):
+        run(omega, "ct")
+    assert run(omega, "ct", max_steps=3).steps == 3  # an explicit fuel ignores the variable
 
 
 def test_unknown_machine_rejected():
