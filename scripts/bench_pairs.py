@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Run the benchmark on a parent commit and on the working tree, in pairs.
+
+    python3 scripts/bench_pairs.py --workload machine_runs --pairs 10 --parent HEAD [--first-seed 1]
+
+The committed files of --parent are exported (`git archive`) into a temporary
+directory, so the parent runs from a clean tree exactly as committed; the
+change is the working tree, uncommitted edits included. Each pair runs
+`perfbench/run.py --workload W --seed S --seconds <BENCHMARK.json run_seconds>`
+once on each side with its own seed (first-seed, first-seed + 1, ...), and
+the side that runs first alternates from pair to pair. Runs go one at a time.
+
+Per end-to-end metric of BENCHMARK.json it prints each side's median and
+quartiles, the ratio of the medians, how many pairs the change won (ties
+count for neither side), and whether a gain would be claimable: wins in at
+least nine tenths of the pairs, and medians further apart than the parent's
+interquartile range. It also prints failed/attempted ops per side. The
+temporary directory is removed at the end, also on error or interrupt.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def export_tree(ref: str, dest: Path) -> None:
+    """Write the files committed at ref into dest."""
+    archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT, capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run in tree; the parsed JSON result line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited with {proc.returncode}: {proc.stderr.strip()}")
+    return json.loads(lines[-1])
+
+
+def summarize(metric: dict, parent: list[float], change: list[float]) -> str:
+    p_q1, p_med, p_q3 = statistics.quantiles(parent, n=4)
+    c_q1, c_med, c_q3 = statistics.quantiles(change, n=4)
+    higher = metric["better"] == "higher"
+    wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    claimable = wins >= 0.9 * len(parent) and abs(c_med - p_med) > p_q3 - p_q1 and (c_med > p_med) == higher
+    return (
+        f"{metric['name']:12s} {metric['unit']:4s} parent {p_med:10.4g} [{p_q1:.4g}, {p_q3:.4g}]  "
+        f"change {c_med:10.4g} [{c_q1:.4g}, {c_q3:.4g}]  ratio {c_med / p_med:6.3f}  "
+        f"change wins {wins}/{len(parent)} ({metric['better']} is better)  "
+        f"gain claimable: {'yes' if claimable else 'no'}"
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--parent", default="HEAD", help="git ref of the parent commit (default HEAD)")
+    ap.add_argument("--first-seed", type=int, default=1, help="seed of the first pair; pair i uses first-seed + i")
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if args.workload not in [w["name"] for w in spec["workloads"]]:
+        ap.error(f"unknown workload {args.workload!r}")
+    seconds = spec["run_seconds"]
+    metrics = spec["end_to_end"]
+    values = {side: {m["name"]: [] for m in metrics} for side in ("parent", "change")}
+    failed = {"parent": [0, 0], "change": [0, 0]}
+
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_tree = Path(tmp)
+        export_tree(args.parent, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
+        print(f"{args.workload}: {args.pairs} pairs at {seconds} s, parent {args.parent}, change = working tree")
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = bench_once(trees[side], args.workload, seed, seconds)
+                failed[side][0] += result["failed"]
+                failed[side][1] += result["attempted"]
+                for m in metrics:
+                    values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
+            row = "  ".join(
+                f"{m['name']} {values['parent'][m['name']][-1]:.4g} -> {values['change'][m['name']][-1]:.4g}"
+                for m in metrics
+            )
+            print(f"pair {i + 1:2d} seed {seed:4d} ({order[0]} first): {row}", flush=True)
+
+    print("medians [q1, q3]:")
+    for m in metrics:
+        print("  " + summarize(m, values["parent"][m["name"]], values["change"][m["name"]]))
+    for side, (n_failed, attempted) in failed.items():
+        print(f"  failed ops, {side}: {n_failed}/{attempted}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -49,7 +49,13 @@ def _calculus_of(path: Path, explicit: str | None) -> str:
 
 
 def _load(path: Path, calculus: str):
-    return parse(path.read_text(encoding="utf-8"), calculus)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise WorkbenchError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise WorkbenchError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse(text, calculus)
 
 
 def _event_json(event: TraceEvent) -> str:
@@ -176,6 +182,8 @@ def cmd_bisim(args) -> int:
 def cmd_gen(args) -> int:
     if args.size < 1:
         raise WorkbenchError("--size must be at least 1")
+    if args.count < 0:
+        raise WorkbenchError("--count must not be negative")
     if args.unsafe_ok and args.calculus != "ct":
         raise WorkbenchError("--unsafe-ok only applies to --calculus ct")
     rng = random.Random(args.seed)

@@ -17,12 +17,20 @@ one of the RULE_* tags naming the rule it applied, and the next state for a
 transition, the value closure for RULE_FINAL, or the reason string for
 RULE_STUCK. Environments, stacks, vectors and tables are persistent lists,
 so every capture is O(1) and shares structure.
+
+States, closures and trace events are frozen slots dataclasses; their
+__init__ stores each field directly through its slot (see _direct_init), so
+a step costs no generic object.__setattr__ calls and records still reject
+assignment. run prints each subterm's trace head once per call, not once per
+step: the machines never build terms, so every head is a subterm of the
+input.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import Callable, Union
 
 from .errors import OpenTermError, WorkbenchError
@@ -81,6 +89,31 @@ def resolve_max_steps(max_steps: int | None) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _direct_init(cls):
+    """Replace the __init__ of frozen slots dataclass cls with one that stores
+    each field through its slot's member descriptor, bound once here, instead
+    of one object.__setattr__ call per field.
+
+    The parameters are the generated ones, so keyword construction and
+    dataclasses.replace work as before; __setattr__ (FrozenInstanceError),
+    __eq__, __hash__, __repr__ and __match_args__ are untouched. Every field
+    must be an init field without a default.
+    """
+    fields = dataclasses.fields(cls)
+    if any(not f.init or f.default is not MISSING or f.default_factory is not MISSING for f in fields):
+        raise TypeError(f"{cls.__name__}: _direct_init needs init fields without defaults")
+    names = [f.name for f in fields]
+    setters = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):{body}", setters)
+    init = setters["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = cls.__init__.__annotations__
+    cls.__init__ = init
+    return cls
+
+
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class ClosureCT:
     term: TermCT
@@ -88,6 +121,7 @@ class ClosureCT:
     mu_env: PList  # of stacks (PList of ClosureCT)
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class StateCT:
     term: TermCT
@@ -99,6 +133,7 @@ class StateCT:
         return ClosureCT(self.term, self.env, self.mu_env)
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class ClosureGS:
     term: TermGS
@@ -107,6 +142,7 @@ class ClosureGS:
     mu_env: PList  # of stacks; same length as lenv_mu (same labels)
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class StateGS:
     term: TermGS
@@ -119,6 +155,7 @@ class StateGS:
         return ClosureGS(self.term, self.lenv, self.lenv_mu, self.mu_env)
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class ClosureIT:
     term: TermGS
@@ -129,6 +166,7 @@ class ClosureIT:
     mu_env: PList  # of stacks
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class StateIT:
     term: TermGS
@@ -156,7 +194,7 @@ Step = tuple[str, Union[State, Closure, str]]  # (rule, successor)
 def step_ct(s: StateCT) -> Step:
     match s.term:
         case Var(index):
-            if index >= len(s.env):
+            if index >= s.env.length:
                 return RULE_STUCK, UNBOUND_VAR
             entered: ClosureCT = s.env[index]
             return RULE_VAR, StateCT(entered.term, entered.env, entered.mu_env, s.stack)
@@ -164,13 +202,13 @@ def step_ct(s: StateCT) -> Step:
             pushed = ClosureCT(arg, s.env, s.mu_env)
             return RULE_APP, StateCT(fn, s.env, s.mu_env, s.stack.cons(pushed))
         case Lam(body):
-            if not s.stack:
+            if s.stack is NIL:
                 return RULE_FINAL, s.closure()
             return RULE_LAM, StateCT(body, s.env.cons(s.stack.head), s.mu_env, s.stack.tail)
         case Catch(body):
             return RULE_CAPTURE, StateCT(body, s.env, s.mu_env.cons(s.stack), s.stack)
         case Throw(label, body):
-            if label >= len(s.mu_env):
+            if label >= s.mu_env.length:
                 return RULE_STUCK, UNBOUND_MU
             return RULE_RESTORE, StateCT(body, s.env, s.mu_env, s.mu_env[label])
     raise TypeError(f"not a catch/throw term: {s.term!r}")
@@ -179,7 +217,7 @@ def step_ct(s: StateCT) -> Step:
 def step_gs(s: StateGS) -> Step:
     match s.term:
         case Var(index):
-            if index >= len(s.lenv):
+            if index >= s.lenv.length:
                 return RULE_STUCK, UNBOUND_VAR
             entered: ClosureGS = s.lenv[index]
             return RULE_VAR, StateGS(entered.term, entered.lenv, entered.lenv_mu, entered.mu_env, s.stack)
@@ -187,13 +225,13 @@ def step_gs(s: StateGS) -> Step:
             pushed = ClosureGS(arg, s.lenv, s.lenv_mu, s.mu_env)
             return RULE_APP, StateGS(fn, s.lenv, s.lenv_mu, s.mu_env, s.stack.cons(pushed))
         case Lam(body):
-            if not s.stack:
+            if s.stack is NIL:
                 return RULE_FINAL, s.closure()
             return RULE_LAM, StateGS(body, s.lenv.cons(s.stack.head), s.lenv_mu, s.mu_env, s.stack.tail)
         case GetContext(body):
             return RULE_CAPTURE, StateGS(body, s.lenv, s.lenv_mu.cons(s.lenv), s.mu_env.cons(s.stack), s.stack)
         case SetContext(label, body):
-            if len(s.lenv_mu) != len(s.mu_env) or label >= len(s.lenv_mu):
+            if s.lenv_mu.length != s.mu_env.length or label >= s.lenv_mu.length:
                 return RULE_STUCK, UNBOUND_MU
             return RULE_RESTORE, StateGS(body, s.lenv_mu[label], s.lenv_mu, s.mu_env, s.mu_env[label])
     raise TypeError(f"not a getctx/setctx term: {s.term!r}")
@@ -202,10 +240,10 @@ def step_gs(s: StateGS) -> Step:
 def step_it(s: StateIT) -> Step:
     match s.term:
         case Var(index):
-            if index >= len(s.vec):
+            if index >= s.vec.length:
                 return RULE_STUCK, UNBOUND_VAR
             resolved = s.depth - s.vec[index]
-            if resolved < 0 or resolved >= len(s.env):
+            if resolved < 0 or resolved >= s.env.length:
                 return RULE_STUCK, UNBOUND_VAR
             entered: ClosureIT = s.env[resolved]
             return RULE_VAR, StateIT(
@@ -215,7 +253,7 @@ def step_it(s: StateIT) -> Step:
             pushed = ClosureIT(arg, s.depth, s.vec, s.table, s.env, s.mu_env)
             return RULE_APP, StateIT(fn, s.depth, s.vec, s.table, s.env, s.mu_env, s.stack.cons(pushed))
         case Lam(body):
-            if not s.stack:
+            if s.stack is NIL:
                 return RULE_FINAL, s.closure()
             deeper = s.depth + 1
             return RULE_LAM, StateIT(
@@ -226,7 +264,7 @@ def step_it(s: StateIT) -> Step:
                 body, s.depth, s.vec, s.table.cons(s.vec), s.env, s.mu_env.cons(s.stack), s.stack
             )
         case SetContext(label, body):
-            if len(s.table) != len(s.mu_env) or label >= len(s.table):
+            if s.table.length != s.mu_env.length or label >= s.table.length:
                 return RULE_STUCK, UNBOUND_MU
             return RULE_RESTORE, StateIT(body, s.depth, s.table[label], s.table, s.env, s.mu_env, s.mu_env[label])
     raise TypeError(f"not a getctx/setctx term: {s.term!r}")
@@ -261,19 +299,19 @@ def initial_it(t: TermGS) -> StateIT:
 def _var_guard(s: State) -> bool:
     term = s.term
     if isinstance(s, StateCT):
-        return term.index < len(s.env)
+        return term.index < s.env.length
     if isinstance(s, StateGS):
-        return term.index < len(s.lenv)
-    if term.index >= len(s.vec):
+        return term.index < s.lenv.length
+    if term.index >= s.vec.length:
         return False
-    return 0 <= s.depth - s.vec[term.index] < len(s.env)
+    return 0 <= s.depth - s.vec[term.index] < s.env.length
 
 
 def _restore_guard(s: State) -> bool:
     if isinstance(s, StateCT):
-        return s.term.label < len(s.mu_env)
+        return s.term.label < s.mu_env.length
     labels = s.lenv_mu if isinstance(s, StateGS) else s.table
-    return len(labels) == len(s.mu_env) and s.term.label < len(labels)
+    return labels.length == s.mu_env.length and s.term.label < labels.length
 
 
 def applicable_rules(s: State) -> list[str]:
@@ -289,9 +327,9 @@ def applicable_rules(s: State) -> list[str]:
         rules.append(RULE_VAR)
     if isinstance(term, App):
         rules.append(RULE_APP)
-    if isinstance(term, Lam) and s.stack:
+    if isinstance(term, Lam) and s.stack is not NIL:
         rules.append(RULE_LAM)
-    if isinstance(term, Lam) and not s.stack:
+    if isinstance(term, Lam) and s.stack is NIL:
         rules.append(RULE_FINAL)
     if isinstance(term, (Catch, GetContext)):
         rules.append(RULE_CAPTURE)
@@ -304,7 +342,8 @@ def applicable_rules(s: State) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_direct_init
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One machine transition (or the terminal configuration), serializable."""
 
@@ -346,12 +385,18 @@ def run(term: Term, machine: str, max_steps: int | None = None, collect_trace: b
     state = initial(term)
     fuel = resolve_max_steps(max_steps)
     events: list[TraceEvent] | None = [] if collect_trace else None
+    # Printed heads by id(subterm). The machines never build terms, so every
+    # state's term is a subterm of `term`, which pins them all for this call.
+    heads: dict[int, str] = {}
     steps = 0
     while True:
         rule, successor = step(state)
         halted = rule == RULE_FINAL or rule == RULE_STUCK
         if events is not None and (halted or steps < fuel):
-            events.append(TraceEvent(steps, machine, rule, print_term(state.term), len(state.stack), len(state.mu_env)))
+            head = heads.get(id(state.term))
+            if head is None:
+                head = heads[id(state.term)] = print_term(state.term)
+            events.append(TraceEvent(steps, machine, rule, head, state.stack.length, state.mu_env.length))
         if halted or steps >= fuel:
             break
         state = successor

@@ -4,6 +4,10 @@ Machine environments, stacks, vectors and tables are all cons lists: the
 capture rules snapshot whole sequences on every context switch, so O(1) cons
 with spine sharing is what keeps runs (and the lock-step checkers, which
 memoize by spine identity) linear instead of quadratic.
+
+NIL is the only empty list, so `xs is NIL` tests emptiness, and every cell
+caches its length in the read-only `length` slot; the machines' hot paths use
+both instead of `__bool__`/`__len__`.
 """
 
 from __future__ import annotations
@@ -14,38 +18,44 @@ from typing import Any, Iterable, Iterator
 class PList:
     """Immutable cons list. The empty list is the module-level singleton NIL."""
 
-    __slots__ = ("head", "tail", "_len")
+    __slots__ = ("head", "tail", "length")
 
     head: Any
     tail: "PList"
-    _len: int
+    length: int
 
     def __init__(self, head: Any, tail: "PList"):
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "_len", tail._len + 1)
+        _set_head(self, head)
+        _set_tail(self, tail)
+        _set_length(self, tail.length + 1)
 
     def __setattr__(self, name: str, value: Any):
         raise AttributeError("PList is immutable")
 
     def cons(self, item: Any) -> "PList":
-        return PList(item, self)
+        # The cell is built by direct slot stores: no __init__ call on the
+        # machines' hottest path.
+        cell = _new_cell(PList)
+        _set_head(cell, item)
+        _set_tail(cell, self)
+        _set_length(cell, self.length + 1)
+        return cell
 
     def __len__(self) -> int:
-        return self._len
+        return self.length
 
     def __bool__(self) -> bool:
-        return self._len > 0
+        return self.length > 0
 
     def __iter__(self) -> Iterator[Any]:
         node = self
-        while node._len > 0:
+        while node.length > 0:
             yield node.head
             node = node.tail
 
     def __getitem__(self, index: int) -> Any:
-        if index < 0 or index >= self._len:
-            raise IndexError(f"plist index {index} out of range (length {self._len})")
+        if index < 0 or index >= self.length:
+            raise IndexError(f"plist index {index} out of range (length {self.length})")
         node = self
         for _ in range(index):
             node = node.tail
@@ -56,10 +66,10 @@ class PList:
             return True
         if not isinstance(other, PList):
             return NotImplemented
-        if self._len != other._len:
+        if self.length != other.length:
             return False
         a, b = self, other
-        while a._len > 0:
+        while a.length > 0:
             if a is b:
                 return True
             if a.head != b.head:
@@ -73,11 +83,17 @@ class PList:
         return "plist([" + ", ".join(repr(x) for x in self) + "])"
 
 
+# Slot stores that bypass PList.__setattr__, which rejects every assignment.
+_new_cell = object.__new__
+_set_head = PList.head.__set__
+_set_tail = PList.tail.__set__
+_set_length = PList.length.__set__
+
 # The empty list: a self-consistent sentinel cell of length 0.
-NIL = PList.__new__(PList)
-object.__setattr__(NIL, "head", None)
-object.__setattr__(NIL, "tail", NIL)
-object.__setattr__(NIL, "_len", 0)
+NIL = _new_cell(PList)
+_set_head(NIL, None)
+_set_tail(NIL, NIL)
+_set_length(NIL, 0)
 
 
 def plist(items: Iterable[Any] = ()) -> PList:

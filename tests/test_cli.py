@@ -176,6 +176,17 @@ def test_parse_error_has_position(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unreadable_input_is_an_input_error(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.gs"
+    latin1.write_bytes("\\x. é".encode("latin-1"))
+    for path in (tmp_path / "missing.gs", latin1, tmp_path):
+        for argv in (["parse", str(path), "--calculus", "gs"], ["run", str(path), "--calculus", "gs"],
+                     ["bisim", str(path)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_unknown_extension_needs_calculus(tmp_path, capsys):
     f = tmp_path / "term.txt"
     f.write_text("\\x. x", encoding="utf-8")
@@ -218,3 +229,5 @@ def test_gen_out_dir(tmp_path, capsys):
 def test_gen_rejects_bad_flags(capsys):
     assert main(["gen", "--size", "0"]) == 1
     assert main(["gen", "--unsafe-ok", "--calculus", "gs"]) == 1
+    assert main(["gen", "--count", "-3"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: --count must not be negative"

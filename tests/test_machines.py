@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from coroutine_vm import machines
 from coroutine_vm.bisim import deep_eq
 from coroutine_vm.debruijn import to_debruijn_ct, to_debruijn_gs
 from coroutine_vm.errors import OpenTermError, WorkbenchError
@@ -10,6 +12,7 @@ from coroutine_vm.machines import (
     ClosureCT,
     ClosureGS,
     ClosureIT,
+    MACHINES,
     RULE_APP,
     RULE_CAPTURE,
     RULE_FINAL,
@@ -20,6 +23,7 @@ from coroutine_vm.machines import (
     StateCT,
     StateGS,
     StateIT,
+    TraceEvent,
     applicable_rules,
     default_max_steps,
     initial_ct,
@@ -32,7 +36,7 @@ from coroutine_vm.machines import (
 )
 from coroutine_vm.parser import parse_ct, parse_gs
 from coroutine_vm.plist import NIL, plist
-from coroutine_vm.terms import App, Catch, GetContext, Lam, SetContext, Throw, Var
+from coroutine_vm.terms import App, Catch, GetContext, Lam, SetContext, Throw, Var, print_term
 from coroutine_vm.translate import down
 
 CT_DEMO = Catch(Throw(0, Lam(Var(0))))
@@ -242,3 +246,65 @@ def test_negative_fuel_rejected(monkeypatch):
 def test_unknown_machine_rejected():
     with pytest.raises(ValueError):
         run(Lam(Var(0)), "cek")
+
+
+RECORD_FIELDS = [
+    (ClosureCT, ("term", "env", "mu_env")),
+    (StateCT, ("term", "env", "mu_env", "stack")),
+    (ClosureGS, ("term", "lenv", "lenv_mu", "mu_env")),
+    (StateGS, ("term", "lenv", "lenv_mu", "mu_env", "stack")),
+    (ClosureIT, ("term", "depth", "vec", "table", "env", "mu_env")),
+    (StateIT, ("term", "depth", "vec", "table", "env", "mu_env", "stack")),
+    (TraceEvent, ("step", "machine", "rule", "head", "stack_depth", "mu_count")),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORD_FIELDS, ids=[cls.__name__ for cls, _ in RECORD_FIELDS])
+def test_machine_records_stay_immutable(cls, fields):
+    assert cls.__match_args__ == fields
+    values = {name: i for i, name in enumerate(fields)}
+    record = cls(**values)
+    assert record == cls(*values.values())
+    assert hash(record) == hash(cls(*values.values()))
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v}' for n, v in values.items())})"
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, -1)
+    # a name that is no field: FrozenInstanceError, or TypeError from the
+    # frozen __setattr__ of a slots dataclass on Python 3.11
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        record.extra = -1
+    changed = dataclasses.replace(record, **{fields[-1]: -1})
+    assert getattr(changed, fields[-1]) == -1 and getattr(record, fields[-1]) == len(fields) - 1
+    assert changed != record
+    with pytest.raises(TypeError):
+        cls(*values.values(), -1)
+
+
+def test_direct_init_rejects_fields_with_defaults():
+    with_default = dataclasses.make_dataclass("WithDefault", [("x", int, 0)], frozen=True, slots=True)
+    with pytest.raises(TypeError):
+        machines._direct_init(with_default)
+
+
+def test_trace_heads_printed_once_per_subterm(monkeypatch):
+    printed = []
+
+    def counting_print_term(term):
+        printed.append(term)
+        return print_term(term)
+
+    monkeypatch.setattr(machines, "print_term", counting_print_term)
+    omega_ct = to_debruijn_ct(parse_ct(r"(\x. x x) (\x. x x)"))
+    omega_gs = to_debruijn_gs(parse_gs(r"(\x. x x) (\x. x x)"))
+    for term, machine in ((omega_ct, "ct"), (omega_gs, "gs"), (omega_gs, "it")):
+        printed.clear()
+        result = run(term, machine, max_steps=2000, collect_trace=True)
+        assert len(result.events) == 2000
+        # omega has 9 nodes; each is printed at most once however often the run revisits it
+        assert len(printed) == len({id(t) for t in printed}) <= 9
+        initial, step = MACHINES[machine]
+        state = initial(term)
+        for event in result.events:
+            assert event.head == print_term(state.term)
+            _, state = step(state)

@@ -6,7 +6,8 @@ from coroutine_vm.plist import NIL, plist
 
 
 def test_nil_is_empty():
-    assert len(NIL) == 0
+    assert len(NIL) == 0 and NIL.length == 0
+    assert plist([]) is NIL
     assert not NIL
     assert list(NIL) == []
 
@@ -42,14 +43,19 @@ def test_equality_is_structural():
 
 def test_immutable():
     l = plist([1])
+    for name in ("head", "tail", "length"):
+        with pytest.raises(AttributeError):
+            setattr(l, name, 5)
+        with pytest.raises(AttributeError):
+            setattr(l.cons(0), name, 5)
     with pytest.raises(AttributeError):
-        l.head = 5
+        l.extra = 5
 
 
 @given(st.lists(st.integers()))
 def test_round_trip(xs):
     assert list(plist(xs)) == xs
-    assert len(plist(xs)) == len(xs)
+    assert len(plist(xs)) == plist(xs).length == len(xs)
 
 
 @given(st.lists(st.integers(), min_size=1), st.data())
