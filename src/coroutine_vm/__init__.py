@@ -8,17 +8,7 @@ checkers that validate the machines against each other.
 
 from types import ModuleType as _Module
 
-from .bisim import (
-    LockstepReport,
-    SimulationMaps,
-    deep_eq,
-    diamond_closure,
-    diamond_state,
-    flatten,
-    lockstep,
-    star_closure,
-    star_state,
-)
+from .bisim import LockstepReport, R_diamond, R_star, lockstep
 from .debruijn import to_debruijn_ct, to_debruijn_gs
 from .errors import (
     NotSafeError,

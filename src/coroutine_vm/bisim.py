@@ -1,27 +1,39 @@
 """Lock-step simulation checks between the three machines.
 
-The it machine is the pivot: a *star* image rewrites one of its states into a
-ct-machine state (translating every embedded term through the closure's own
-depth/vector/table), a *diamond* image rewrites it into a gs-machine state
-(flattening the global environment into local ones). Both images are
-functional, so checking the simulation means computing the image of the i-th
-it state and comparing it structurally with the i-th state of the other
-machine, plus requiring that both runs end the same way at the same step.
-The image of state i depends on state i alone, so lockstep steps the
-machines together, checks each step as it goes and stops at the first
-failure; it builds no list of past states.
+The it machine is the pivot. Two simulation relations tie its states (and
+closures) to those of the other machines:
 
-Machine states share almost all structure from one step to the next, so the
-mappers memoize by object identity (closure, spine, and translation caches
-live for one lockstep call) and state comparison is a pair-memoized DAG
-equality; per step, only newly created structure costs anything.
+  * R_star(c, d) relates an it state c to a ct state d. d.term must be
+    down(c.term) in c's own depth/vector/table context. A variable at local
+    index l is the ct variable depth - vec[l], with l inside vec; a getctx
+    is a catch and pushes vec onto the table; a setctx is a throw to the
+    same label, which must be in the table, and switches to table[label].
+    env, mu_env and the stack are related pointwise.
+  * R_diamond(c, g) relates an it state c to a gs state g. The terms are
+    the same object or structurally equal. g.lenv has one entry per entry k
+    of vec, related to the global closure env[depth - k]; g.lenv_mu has one
+    local environment per table vector, selected the same way. The label
+    stacks and the stack are related pointwise.
+
+Both relations check exact types, spine lengths, ints and every field. A
+broken index (outside the vector, the table or the environment) makes them
+false. Nothing is built: the terms are walked together rather than
+translated, and each check runs on an explicit work list, so it needs no
+recursion however deeply closures nest.
+
+lockstep steps the machines together, checks the relations at every step
+and stops at the first failure; it keeps no past states. Consecutive states
+share almost all structure, so one memo of proven pairs, keyed by object
+identity and pinning both sides, leaves a step only its new structure to
+check. The memo keeps two generations: every _MEMO_GENERATION steps the
+young one becomes the old one and the old one is dropped, and a hit in the
+old one is promoted. That bounds memory; a pair that aged out is only
+checked again.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, fields
-from typing import Any, Callable
+from dataclasses import dataclass
 
 from .machines import (
     ClosureCT,
@@ -43,211 +55,193 @@ from .machines import (
     step_it,
 )
 from .plist import NIL, PList
-from .terms import TermGS, print_term
+from .terms import App, Catch, GetContext, Lam, SetContext, TermGS, Throw, Var, print_term
 from .translate import down
 
 PAIRS = ("star", "diamond", "composed")
 
-# Closure nesting grows one level per machine step; recursion through the
-# mappers takes a few frames per level, so give long runs headroom.
-_RECURSION_HEADROOM = 20_000
+# Lock-step steps per memo generation; the memo holds the pairs proven in the
+# last two generations.
+_MEMO_GENERATION = 4096
 
 
-def _ensure_recursion_headroom():
-    if sys.getrecursionlimit() < _RECURSION_HEADROOM:
-        sys.setrecursionlimit(_RECURSION_HEADROOM)
+class RelationMemo:
+    """Pairs already proven related, keyed by (kind, id, id, ...).
 
-
-class SimulationMaps:
-    """Identity-keyed caches for the star/diamond mappers.
-
-    Values pin the objects they were computed from, so ids stay valid for the
-    cache's lifetime (one lockstep run, or whatever the caller chooses).
+    Each entry pins the objects its ids name, so an id stays valid while its
+    key is held. A pair is recorded when it is first visited, before its
+    parts are checked, so a memo may be reused only while every check that
+    used it has returned True.
     """
+
+    __slots__ = ("young", "old")
 
     def __init__(self):
-        self.down_by_site: dict[tuple, tuple] = {}
-        self.star_by_closure: dict[int, tuple] = {}
-        self.star_closure_lists: dict[int, tuple] = {}
-        self.star_stack_lists: dict[int, tuple] = {}
-        self.diamond_by_closure: dict[int, tuple] = {}
-        self.diamond_closure_lists: dict[int, tuple] = {}
-        self.diamond_stack_lists: dict[int, tuple] = {}
-        self.flatten_by_site: dict[tuple, tuple] = {}
+        self.young: dict[tuple, tuple] = {}
+        self.old: dict[tuple, tuple] = {}
 
+    def age(self):
+        """Start a new generation: pairs not seen in the last two are dropped."""
+        self.old, self.young = self.young, {}
 
-def _map_spine(pl: PList, item_fn: Callable[[Any], Any], cache: dict[int, tuple]) -> PList:
-    """Map item_fn over a persistent list, reusing any already-mapped suffix."""
-    pending = []
-    node = pl
-    while node is not NIL and id(node) not in cache:
-        pending.append(node)
-        node = node.tail
-    out = NIL if node is NIL else cache[id(node)][1]
-    for cell in reversed(pending):
-        out = out.cons(item_fn(cell.head))
-        cache[id(cell)] = (cell, out)
-    return out
+    def first_visit(self, key: tuple, pins: tuple) -> bool:
+        """Record key; False if it was already proven (an old hit is promoted)."""
+        young = self.young
+        if key in young:
+            return False
+        young[key] = pins
+        return self.old.pop(key, None) is None
 
 # ---------------------------------------------------------------------------
-# star: it-machine state -> ct-machine state
+# The relations
 # ---------------------------------------------------------------------------
 
-
-def _down_cached(term, depth: int, vec: PList, table: PList, maps: SimulationMaps):
-    key = (id(term), depth, id(vec), id(table))
-    hit = maps.down_by_site.get(key)
-    if hit is not None:
-        return hit[4]
-    translated = down(term, depth, vec, table)
-    maps.down_by_site[key] = (term, depth, vec, table, translated)
-    return translated
-
-
-def star_closure(c: ClosureIT, maps: SimulationMaps | None = None) -> ClosureCT:
-    """Translate the closure's term through its own indirection context and
-    map its environments element-wise."""
-    maps = maps or SimulationMaps()
-    _ensure_recursion_headroom()
-    return _star_closure(c, maps)
+# Work items are (kind, it side, other side, context...). A list kind relates
+# two lists pointwise by its element kind.
+_STAR_CLOSURE, _STAR_ENV, _STAR_LABELS, _STAR_TERM = range(4)
+_DIAMOND_CLOSURE, _DIAMOND_ENV, _DIAMOND_LABELS, _DIAMOND_LOCAL, _DIAMOND_TABLE = range(4, 9)
+_ELEMENT = {
+    _STAR_ENV: _STAR_CLOSURE,
+    _STAR_LABELS: _STAR_ENV,
+    _DIAMOND_ENV: _DIAMOND_CLOSURE,
+    _DIAMOND_LABELS: _DIAMOND_ENV,
+}
 
 
-def _star_closure(c: ClosureIT, maps: SimulationMaps) -> ClosureCT:
-    hit = maps.star_by_closure.get(id(c))
-    if hit is not None:
-        return hit[1]
-    mapped = ClosureCT(
-        _down_cached(c.term, c.depth, c.vec, c.table, maps),
-        _star_env(c.env, maps),
-        _map_spine(c.mu_env, lambda stack: _star_env(stack, maps), maps.star_stack_lists),
-    )
-    maps.star_by_closure[id(c)] = (c, mapped)
-    return mapped
+def R_star(it: StateIT | ClosureIT, ct: StateCT | ClosureCT, memo: RelationMemo | None = None) -> bool:
+    """Does the ct state (or closure) simulate the it state (or closure)?"""
+    memo = RelationMemo() if memo is None else memo
+    if type(ct) is not (StateCT if type(it) is StateIT else ClosureCT):
+        return False
+    todo: list[tuple] = []
+    if type(it) is StateIT:
+        todo.append((_STAR_ENV, it.stack, ct.stack))
+    return _star_fields(it, ct, todo, memo) and _prove(todo, memo)
 
 
-def _star_env(env: PList, maps: SimulationMaps) -> PList:
-    return _map_spine(env, lambda c: _star_closure(c, maps), maps.star_closure_lists)
+def R_diamond(it: StateIT | ClosureIT, gs: StateGS | ClosureGS, memo: RelationMemo | None = None) -> bool:
+    """Does the gs state (or closure) simulate the it state (or closure)?"""
+    memo = RelationMemo() if memo is None else memo
+    if type(gs) is not (StateGS if type(it) is StateIT else ClosureGS):
+        return False
+    todo: list[tuple] = []
+    if type(it) is StateIT:
+        todo.append((_DIAMOND_ENV, it.stack, gs.stack))
+    return _diamond_fields(it, gs, todo) and _prove(todo, memo)
 
 
-def star_state(s: StateIT, maps: SimulationMaps | None = None) -> StateCT:
-    maps = maps or SimulationMaps()
-    _ensure_recursion_headroom()
-    mapped = _star_closure(s.closure(), maps)
-    return StateCT(mapped.term, mapped.env, mapped.mu_env, _star_env(s.stack, maps))
-
-# ---------------------------------------------------------------------------
-# diamond: it-machine state -> gs-machine state
-# ---------------------------------------------------------------------------
+def _star_fields(x, y, todo: list, memo: RelationMemo) -> bool:
+    todo.append((_STAR_ENV, x.env, y.env))
+    todo.append((_STAR_LABELS, x.mu_env, y.mu_env))
+    return _star_term(x.term, y.term, x.depth, x.vec, x.table, memo)
 
 
-def flatten(depth: int, env: PList, vec: PList, maps: SimulationMaps | None = None) -> PList:
-    """Extract the local environment selected by a vector from the global one.
-
-    Each binder depth k in the vector picks the global closure env[depth - k]
-    and maps it through diamond; order is preserved. Raises IndexError if the
-    vector points outside the environment (a broken machine state).
-    """
-    maps = maps or SimulationMaps()
-    _ensure_recursion_headroom()
-    return _flatten(depth, env, vec, maps)
+def _diamond_fields(x, y, todo: list) -> bool:
+    todo.append((_DIAMOND_LOCAL, x.vec, y.lenv, x.depth, x.env))
+    todo.append((_DIAMOND_TABLE, x.table, y.lenv_mu, x.depth, x.env))
+    todo.append((_DIAMOND_LABELS, x.mu_env, y.mu_env))
+    return x.term is y.term or _same_term(x.term, y.term)
 
 
-def _flatten(depth: int, env: PList, vec: PList, maps: SimulationMaps) -> PList:
-    key = (depth, id(env), id(vec))
-    hit = maps.flatten_by_site.get(key)
-    if hit is not None:
-        return hit[3]
-    out = NIL
-    for k in reversed(list(vec)):
-        out = out.cons(_diamond_closure(env[depth - k], maps))
-    maps.flatten_by_site[key] = (depth, env, vec, out)
-    return out
+def _prove(todo: list, memo: RelationMemo) -> bool:
+    """Check every work item; True iff all of them hold."""
+    first_visit = memo.first_visit
+    push = todo.append
+    while todo:
+        item = todo.pop()
+        kind, x, y = item[0], item[1], item[2]
+        element = _ELEMENT.get(kind)
+        if element is not None:
+            if type(y) is not PList or x.length != y.length:
+                return False
+            while x is not NIL and first_visit((kind, id(x), id(y)), (x, y)):
+                push((element, x.head, y.head))
+                x, y = x.tail, y.tail
+        elif kind == _STAR_CLOSURE:
+            if type(y) is not ClosureCT:
+                return False
+            if first_visit((kind, id(x), id(y)), (x, y)) and not _star_fields(x, y, todo, memo):
+                return False
+        elif kind == _DIAMOND_CLOSURE:
+            if type(y) is not ClosureGS:
+                return False
+            if first_visit((kind, id(x), id(y)), (x, y)) and not _diamond_fields(x, y, todo):
+                return False
+        elif kind == _DIAMOND_LOCAL:
+            # x is a vector that selects the local environment y from the
+            # global environment env at depth.
+            depth, env = item[3], item[4]
+            if type(y) is not PList or y.length != x.length:
+                return False
+            while x is not NIL and first_visit((kind, id(x), id(y), depth, id(env)), (x, y, env)):
+                selected = depth - x.head
+                if not 0 <= selected < env.length:
+                    return False
+                push((_DIAMOND_CLOSURE, env[selected], y.head))
+                x, y = x.tail, y.tail
+        else:  # _DIAMOND_TABLE: x a table of vectors, y the local environments they select
+            depth, env = item[3], item[4]
+            if type(y) is not PList or y.length != x.length:
+                return False
+            while x is not NIL and first_visit((kind, id(x), id(y), depth, id(env)), (x, y, env)):
+                push((_DIAMOND_LOCAL, x.head, y.head, depth, env))
+                x, y = x.tail, y.tail
+    return True
 
 
-def diamond_closure(c: ClosureIT, maps: SimulationMaps | None = None) -> ClosureGS:
-    """Carry the term unchanged; flatten the vector/table into local
-    environments and map the label stacks element-wise."""
-    maps = maps or SimulationMaps()
-    _ensure_recursion_headroom()
-    return _diamond_closure(c, maps)
+def _star_term(x, y, depth: int, vec: PList, table: PList, memo: RelationMemo) -> bool:
+    """Is the ct term y down of the it term x at depth/vec/table?"""
+    if not memo.first_visit((_STAR_TERM, id(x), id(y), depth, id(vec), id(table)), (x, y, vec, table)):
+        return True
+    todo = [(x, y, depth, vec, table)]
+    while todo:
+        x, y, depth, vec, table = todo.pop()
+        kind = type(x)
+        if kind is Var:
+            local = x.index
+            if type(y) is not Var or not 0 <= local < vec.length:
+                return False
+            if type(y.index) is not int or y.index != depth - vec[local]:
+                return False
+        elif kind is App:
+            if type(y) is not App:
+                return False
+            todo.append((x.fn, y.fn, depth, vec, table))
+            todo.append((x.arg, y.arg, depth, vec, table))
+        elif kind is Lam:
+            if type(y) is not Lam:
+                return False
+            todo.append((x.body, y.body, depth + 1, vec.cons(depth + 1), table))
+        elif kind is GetContext:
+            if type(y) is not Catch:
+                return False
+            todo.append((x.body, y.body, depth, vec, table.cons(vec)))
+        elif kind is SetContext:
+            label = x.label
+            if type(y) is not Throw or type(y.label) is not int or y.label != label:
+                return False
+            if not 0 <= label < table.length:
+                return False
+            todo.append((x.body, y.body, depth, table[label], table))
+        else:
+            return False
+    return True
 
 
-def _diamond_closure(c: ClosureIT, maps: SimulationMaps) -> ClosureGS:
-    hit = maps.diamond_by_closure.get(id(c))
-    if hit is not None:
-        return hit[1]
-    local_envs = NIL
-    for vec in reversed(list(c.table)):
-        local_envs = local_envs.cons(_flatten(c.depth, c.env, vec, maps))
-    mapped = ClosureGS(
-        c.term,
-        _flatten(c.depth, c.env, c.vec, maps),
-        local_envs,
-        _map_spine(c.mu_env, lambda stack: _diamond_env(stack, maps), maps.diamond_stack_lists),
-    )
-    maps.diamond_by_closure[id(c)] = (c, mapped)
-    return mapped
-
-
-def _diamond_env(env: PList, maps: SimulationMaps) -> PList:
-    return _map_spine(env, lambda c: _diamond_closure(c, maps), maps.diamond_closure_lists)
-
-
-def diamond_state(s: StateIT, maps: SimulationMaps | None = None) -> StateGS:
-    maps = maps or SimulationMaps()
-    _ensure_recursion_headroom()
-    mapped = _diamond_closure(s.closure(), maps)
-    return StateGS(mapped.term, mapped.lenv, mapped.lenv_mu, mapped.mu_env, _diamond_env(s.stack, maps))
-
-# ---------------------------------------------------------------------------
-# DAG-aware structural equality
-# ---------------------------------------------------------------------------
-
-_FIELDS_CACHE: dict[type, tuple[str, ...]] = {}
-
-
-def _field_names(cls: type) -> tuple[str, ...]:
-    names = _FIELDS_CACHE.get(cls)
-    if names is None:
-        names = tuple(f.name for f in fields(cls))
-        _FIELDS_CACHE[cls] = names
-    return names
-
-
-def deep_eq(a: Any, b: Any, memo: set[tuple[int, int]] | None = None) -> bool:
-    """Structural equality over states/closures/terms/spines.
-
-    Iterative, with a seen-pair memo: shared substructure is compared once,
-    so the cost is proportional to the object graphs, not their unfoldings.
-    The memo assumes acyclic values (machine states always are). A memo may
-    be reused across calls only while every call has returned True: a False
-    return leaves partially-checked pairs in it.
-    """
-    memo = set() if memo is None else memo
-    todo = [(a, b)]
+def _same_term(x, y) -> bool:
+    """Structural equality of two index terms, exact types included."""
+    todo = [(x, y)]
     while todo:
         x, y = todo.pop()
         if x is y:
             continue
         if type(x) is not type(y):
             return False
-        if isinstance(x, (int, str)):
+        if isinstance(x, int):
             if x != y:
                 return False
             continue
-        pair = (id(x), id(y))
-        if pair in memo:
-            continue
-        memo.add(pair)
-        if isinstance(x, PList):
-            if len(x) != len(y):
-                return False
-            todo.append((x.tail, y.tail))
-            todo.append((x.head, y.head))
-            continue
-        names = _field_names(type(x))
-        for name in names:
-            todo.append((getattr(x, name), getattr(y, name)))
+        todo.extend((getattr(x, name), getattr(y, name)) for name in type(x).__match_args__)
     return True
 
 # ---------------------------------------------------------------------------
@@ -263,7 +257,7 @@ class LockstepReport:
     steps_checked: int  # transitions verified on each machine
     outcome: str  # "both_halted", "fuel_exhausted", "diverged"
     diverged_at: int | None = None
-    left: str | None = None  # mapped it-machine state at the divergence
+    left: str | None = None  # it-machine state at the divergence
     right: str | None = None  # actual state of the other machine
     detail: str | None = None
 
@@ -306,41 +300,40 @@ def _run_end(rule: str, i: int, fuel: int) -> str:
 def lockstep(t: TermGS, pair: str = "composed", max_steps: int | None = None) -> LockstepReport:
     """Run the it machine on t and the ct and/or gs machine alongside it.
 
-    star: the ct machine runs the translated term and every it state must map
-    to the corresponding ct state. diamond: likewise against the gs machine on
-    t itself. composed: both against one it run (which forces the ct and gs
-    runs to halt at the same step). At each step the images are compared (ct
-    before gs), then every state must have exactly one applicable rule, then
-    all runs must go on, or all end the same way; the first failure is
-    reported. A stuck outcome is always a divergence (well-scoped closed
-    inputs never get stuck).
+    star: the ct machine runs the translated term and every it state must be
+    R_star-related to the corresponding ct state. diamond: likewise by
+    R_diamond against the gs machine on t itself. composed: both against one
+    it run (which forces the ct and gs runs to halt at the same step). At
+    each step the relations are checked (ct before gs), then every state
+    must have exactly one applicable rule, then all runs must go on, or all
+    end the same way; the first failure is reported. A stuck outcome is
+    always a divergence (well-scoped closed inputs never get stuck).
     """
     if pair not in PAIRS:
         raise ValueError(f"unknown pair {pair!r} (expected one of {PAIRS})")
-    _ensure_recursion_headroom()
     fuel = resolve_max_steps(max_steps)
-    maps = SimulationMaps()
-    eq_memo: set[tuple[int, int]] = set()
+    memo = RelationMemo()
 
     it_initial = initial_it(t)  # rejects open terms before down sees them
-    partners = []  # (name, step function, image of an it state)
+    partners = []  # (name, step function, relation to an it state)
     states = []  # the partners' current states, then the it machine's
     if pair in ("star", "composed"):
-        partners.append(("ct", step_ct, lambda s: star_state(s, maps)))
+        partners.append(("ct", step_ct, R_star))
         states.append(initial_ct(down(t)))
     if pair in ("diamond", "composed"):
-        partners.append(("gs", step_gs, lambda s: diamond_state(s, maps)))
+        partners.append(("gs", step_gs, R_diamond))
         states.append(initial_gs(t))
     states.append(it_initial)
 
     i = 0
     while True:
+        if i % _MEMO_GENERATION == 0:
+            memo.age()
         it_state = states[-1]
-        for (name, _, image_of), state in zip(partners, states):
-            image = image_of(it_state)
-            if not deep_eq(image, state, eq_memo):
+        for (name, _, related), state in zip(partners, states):
+            if not related(it_state, state, memo):
                 detail = f"it-state image differs from {name} state at step {i}"
-                return _diverged(pair, i, describe_state(image), describe_state(state), detail)
+                return _diverged(pair, i, describe_state(it_state), describe_state(state), detail)
         for state in states:
             n_rules = len(applicable_rules(state))
             if n_rules != 1:

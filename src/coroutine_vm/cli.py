@@ -189,7 +189,10 @@ def cmd_gen(args) -> int:
     rng = random.Random(args.seed)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise WorkbenchError(f"cannot create directory {out_dir}: {exc.strerror or exc}") from None
     unsafe = 0
     for i in range(args.count):
         if args.calculus == "gs":
@@ -200,7 +203,11 @@ def cmd_gen(args) -> int:
                 unsafe += 1
         text = print_term(term)
         if out_dir:
-            (out_dir / f"gen_{args.seed}_{i:03}.{args.calculus}").write_text(text + "\n", encoding="utf-8")
+            out_file = out_dir / f"gen_{args.seed}_{i:03}.{args.calculus}"
+            try:
+                out_file.write_text(text + "\n", encoding="utf-8")
+            except OSError as exc:
+                raise WorkbenchError(f"cannot write {out_file}: {exc.strerror or exc}") from None
         else:
             print(text)
     if args.unsafe_ok:

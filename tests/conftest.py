@@ -1,10 +1,6 @@
-import sys
 from pathlib import Path
 
 import pytest
-
-# Mapper/equality recursion tracks closure nesting, which grows with step count.
-sys.setrecursionlimit(50_000)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

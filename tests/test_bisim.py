@@ -1,28 +1,23 @@
 import random
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from coroutine_vm import bisim
-from coroutine_vm.bisim import (
-    LockstepReport,
-    SimulationMaps,
-    deep_eq,
-    diamond_closure,
-    diamond_state,
-    flatten,
-    lockstep,
-    star_closure,
-    star_state,
-)
-from coroutine_vm.errors import OpenTermError, UnsafeLocalIndexError, WorkbenchError
+from coroutine_vm.bisim import LockstepReport, R_diamond, R_star, RelationMemo, lockstep
+from coroutine_vm.debruijn import to_debruijn_gs
+from coroutine_vm.errors import OpenTermError, WorkbenchError
 from coroutine_vm.gen import gen_ct_db, gen_gs_db
 from coroutine_vm.machines import (
     RULE_FINAL,
     RULE_STUCK,
+    ClosureCT,
     ClosureGS,
     ClosureIT,
     StateCT,
+    StateGS,
     initial_ct,
     initial_gs,
     initial_it,
@@ -31,13 +26,15 @@ from coroutine_vm.machines import (
     step_gs,
     step_it,
 )
+from coroutine_vm.parser import parse_gs
 from coroutine_vm.plist import NIL, plist
-from coroutine_vm.terms import App, GetContext, Lam, SetContext, Var
+from coroutine_vm.terms import App, Catch, GetContext, Lam, SetContext, Throw, Var
 from coroutine_vm.translate import down
 
 GS_DEMO = GetContext(SetContext(0, Lam(Var(0))))
 IDENT = Lam(Var(0))
 OMEGA = App(Lam(App(Var(0), Var(0))), Lam(App(Var(0), Var(0))))
+PING_PONG = to_debruijn_gs(parse_gs(r"(\x. x x) (\y. getctx k. setctx k (y y))"))
 
 
 def _trace(state, step):
@@ -49,143 +46,199 @@ def _trace(state, step):
         states.append(successor)
 
 
+def _it(term, depth=0, vec=NIL, table=NIL, env=NIL, mu_env=NIL):
+    return ClosureIT(term, depth, vec, table, env, mu_env)
+
+
 # ---------------------------------------------------------------------------
-# star
+# R_star
 # ---------------------------------------------------------------------------
 
 
 def test_star_of_initial_state_is_initial_compiled_state():
     for term in (IDENT, GS_DEMO, Lam(Lam(Var(1)))):
-        assert deep_eq(star_state(initial_it(term)), initial_ct(down(term)))
+        assert R_star(initial_it(term), initial_ct(down(term)))
+    assert not R_star(initial_it(IDENT), initial_ct(Lam(Lam(Var(0)))))
 
 
 def test_star_closure_with_empty_environments():
-    c = ClosureIT(IDENT, 0, NIL, NIL, NIL, NIL)
-    mapped = star_closure(c)
-    assert mapped.term == IDENT
-    assert mapped.env is NIL and mapped.mu_env is NIL
+    c = _it(IDENT)
+    assert R_star(c, ClosureCT(IDENT, NIL, NIL))
+    assert not R_star(c, ClosureCT(IDENT, plist([ClosureCT(IDENT, NIL, NIL)]), NIL))
+    assert not R_star(c, ClosureCT(IDENT, NIL, plist([NIL])))
 
 
 def test_star_closure_after_one_bind():
-    ident_closure = ClosureIT(IDENT, 0, NIL, NIL, NIL, NIL)
-    bound = ClosureIT(Var(0), 1, plist([1]), NIL, plist([ident_closure]), NIL)
-    mapped = star_closure(bound)
-    assert mapped.term == Var(0)
-    assert len(mapped.env) == 1
-    assert mapped.env.head.term == IDENT
+    bound = _it(Var(0), 1, plist([1]), env=plist([_it(IDENT)]))
+    assert R_star(bound, ClosureCT(Var(0), plist([ClosureCT(IDENT, NIL, NIL)]), NIL))
+    assert not R_star(bound, ClosureCT(Var(1), plist([ClosureCT(IDENT, NIL, NIL)]), NIL))
+    assert not R_star(bound, ClosureCT(Var(0), plist([ClosureCT(Var(0), NIL, NIL)]), NIL))
+    assert not R_star(bound, ClosureCT(Var(0), NIL, NIL))
 
 
 def test_star_relates_whole_demo_traces():
     it_states = _trace(initial_it(GS_DEMO), step_it)
     ct_states = _trace(initial_ct(down(GS_DEMO)), step_ct)
     assert len(it_states) == len(ct_states) == 3
-    maps = SimulationMaps()
+    memo = RelationMemo()
     for it_s, ct_s in zip(it_states, ct_states):
-        assert deep_eq(star_state(it_s, maps), ct_s)
+        assert R_star(it_s, ct_s, memo)
+    assert not R_star(it_states[1], ct_states[2])
 
 
 def test_star_maps_stacks_elementwise():
     it_states = _trace(initial_it(App(IDENT, IDENT)), step_it)
-    with_stack = [s for s in it_states if len(s.stack) > 0]
-    assert with_stack
-    image = star_state(with_stack[0])
-    assert isinstance(image, StateCT)
-    assert len(image.stack) == len(with_stack[0].stack)
+    ct_states = _trace(initial_ct(down(App(IDENT, IDENT))), step_ct)
+    k = next(k for k, s in enumerate(it_states) if len(s.stack) > 0)
+    assert R_star(it_states[k], ct_states[k])
+    assert not R_star(it_states[k], replace(ct_states[k], stack=ct_states[k].stack.tail))
+    assert not R_star(it_states[k], replace(ct_states[k], stack=plist([ClosureCT(Var(0), NIL, NIL)])))
 
 
 def test_star_rejects_unsafe_embedded_closure():
-    broken = ClosureIT(Var(0), 0, NIL, NIL, NIL, NIL)  # empty vector: nothing visible
-    with pytest.raises(UnsafeLocalIndexError):
-        star_closure(broken)
+    broken = _it(Var(0))  # empty vector: nothing visible
+    for index in range(3):
+        assert not R_star(broken, ClosureCT(Var(index), NIL, NIL))
+    holder = _it(IDENT, 1, plist([1]), env=plist([broken]))
+    assert not R_star(holder, ClosureCT(IDENT, plist([ClosureCT(Var(0), NIL, NIL)]), NIL))
+
+
+def test_star_walks_labels_through_the_table():
+    # get. (\. set 0 #0) under an outer binder: the catch pushes vec [1], the
+    # inner binder sees depth 2 through [2, 1], the throw switches back to [1]
+    term = GetContext(Lam(SetContext(0, Var(0))))
+    c = _it(term, 1, plist([1]), env=plist([_it(IDENT)]))
+    env = plist([ClosureCT(IDENT, NIL, NIL)])
+    assert down(term, 1, plist([1])) == Catch(Lam(Throw(0, Var(1))))
+    assert R_star(c, ClosureCT(Catch(Lam(Throw(0, Var(1)))), env, NIL))
+    assert not R_star(c, ClosureCT(Catch(Lam(Throw(0, Var(0)))), env, NIL))  # vector not switched
+    assert not R_star(c, ClosureCT(Catch(Lam(Throw(1, Var(1)))), env, NIL))  # label differs
+    assert not R_star(_it(SetContext(0, Var(0)), 1, plist([1])), ClosureCT(Throw(0, Var(0)), NIL, NIL))
 
 
 # ---------------------------------------------------------------------------
-# flatten / diamond
+# R_diamond: the local environments a vector selects ("flatten")
 # ---------------------------------------------------------------------------
 
 
 def test_flatten_empty_vector():
-    assert flatten(5, plist([ClosureIT(IDENT, 0, NIL, NIL, NIL, NIL)]), NIL) is NIL
+    c = _it(IDENT, 5, env=plist([_it(IDENT)]))
+    assert R_diamond(c, ClosureGS(IDENT, NIL, NIL, NIL))
+    assert not R_diamond(c, ClosureGS(IDENT, plist([ClosureGS(IDENT, NIL, NIL, NIL)]), NIL, NIL))
 
 
 def test_flatten_singleton():
-    c = ClosureIT(IDENT, 0, NIL, NIL, NIL, NIL)
-    out = flatten(1, plist([c]), plist([1]))
-    assert list(out) == [ClosureGS(IDENT, NIL, NIL, NIL)]
+    c = _it(Var(0), 1, plist([1]), env=plist([_it(IDENT)]))
+    assert R_diamond(c, ClosureGS(Var(0), plist([ClosureGS(IDENT, NIL, NIL, NIL)]), NIL, NIL))
+    assert not R_diamond(c, ClosureGS(Var(0), NIL, NIL, NIL))
+    assert not R_diamond(replace(c, vec=plist([3])), ClosureGS(Var(0), plist([ClosureGS(IDENT, NIL, NIL, NIL)]), NIL, NIL))
 
 
 def test_flatten_preserves_order():
-    c1 = ClosureIT(IDENT, 0, NIL, NIL, NIL, NIL)
-    c2 = ClosureIT(Lam(Lam(Var(0))), 0, NIL, NIL, NIL, NIL)
+    c1 = _it(IDENT)
+    c2 = _it(Lam(Lam(Var(0))))
     env = plist([c2, c1])  # newest first: depth 2 binder at position 0
-    out = flatten(2, env, plist([2, 1]))
-    assert [c.term for c in out] == [c2.term, c1.term]
+    g1 = ClosureGS(c1.term, NIL, NIL, NIL)
+    g2 = ClosureGS(c2.term, NIL, NIL, NIL)
+    c = _it(Var(0), 2, plist([2, 1]), env=env)
+    assert R_diamond(c, ClosureGS(Var(0), plist([g2, g1]), NIL, NIL))
+    assert not R_diamond(c, ClosureGS(Var(0), plist([g1, g2]), NIL, NIL))
+    # each table vector selects a label's local environment the same way
+    tabled = replace(c, table=plist([plist([1]), NIL]), mu_env=plist([NIL, NIL]))
+    assert R_diamond(tabled, ClosureGS(Var(0), plist([g2, g1]), plist([plist([g1]), NIL]), plist([NIL, NIL])))
+    assert not R_diamond(tabled, ClosureGS(Var(0), plist([g2, g1]), plist([plist([g2]), NIL]), plist([NIL, NIL])))
 
 
 def test_diamond_of_initial_state_is_initial_gs_state():
     for term in (IDENT, GS_DEMO):
-        assert deep_eq(diamond_state(initial_it(term)), initial_gs(term))
+        assert R_diamond(initial_it(term), initial_gs(term))
+    assert not R_diamond(initial_it(IDENT), initial_gs(GS_DEMO))
 
 
 def test_diamond_relates_whole_demo_traces():
     it_states = _trace(initial_it(GS_DEMO), step_it)
     gs_states = _trace(initial_gs(GS_DEMO), step_gs)
-    maps = SimulationMaps()
+    assert len(it_states) == len(gs_states) == 3
+    memo = RelationMemo()
     for it_s, gs_s in zip(it_states, gs_states):
-        assert deep_eq(diamond_state(it_s, maps), gs_s)
+        assert R_diamond(it_s, gs_s, memo)
+    assert not R_diamond(it_states[2], gs_states[1])
 
 
 def test_diamond_after_lam_bind():
     it_states = _trace(initial_it(App(IDENT, IDENT)), step_it)
     bound = it_states[2]  # after the lam rule
     assert bound.depth == 1
-    image = diamond_state(bound)
-    assert len(image.lenv) == 1
-    assert image.lenv.head == ClosureGS(IDENT, NIL, NIL, NIL)
+    gs_bound = StateGS(bound.term, plist([ClosureGS(IDENT, NIL, NIL, NIL)]), NIL, NIL, NIL)
+    assert gs_bound == _trace(initial_gs(App(IDENT, IDENT)), step_gs)[2]
+    assert R_diamond(bound, gs_bound)
+    assert not R_diamond(bound, replace(gs_bound, lenv=NIL))
 
 
 def test_diamond_carries_term_unchanged():
-    c = ClosureIT(GS_DEMO, 0, NIL, NIL, NIL, NIL)
-    assert diamond_closure(c).term is GS_DEMO
+    c = _it(GS_DEMO)
+    assert R_diamond(c, ClosureGS(GS_DEMO, NIL, NIL, NIL))
+    assert R_diamond(c, ClosureGS(GetContext(SetContext(0, Lam(Var(0)))), NIL, NIL, NIL))  # equal, not shared
+    assert not R_diamond(c, ClosureGS(GetContext(SetContext(1, Lam(Var(0)))), NIL, NIL, NIL))
+    assert not R_diamond(c, ClosureGS(down(GS_DEMO), NIL, NIL, NIL))
 
 
 def test_state_maps_are_functional():
-    # same input state, independent caches: identical images
+    # the relation holds along whole runs, under fresh memos and a shared one alike
     rng = random.Random(77)
     for _ in range(20):
         term = gen_gs_db(rng, rng.randint(3, 30))
-        states = _trace(initial_it(term), step_it)[:20]
-        for state in states:
-            assert deep_eq(star_state(state, SimulationMaps()), star_state(state, SimulationMaps()))
-            assert deep_eq(diamond_state(state, SimulationMaps()), diamond_state(state, SimulationMaps()))
+        it_states = _trace(initial_it(term), step_it)[:20]
+        ct_states = _trace(initial_ct(down(term)), step_ct)[:20]
+        gs_states = _trace(initial_gs(term), step_gs)[:20]
+        shared = RelationMemo()
+        for it_s, ct_s, gs_s in zip(it_states, ct_states, gs_states):
+            assert R_star(it_s, ct_s, RelationMemo()) and R_star(it_s, ct_s, RelationMemo())
+            assert R_diamond(it_s, gs_s, RelationMemo()) and R_diamond(it_s, gs_s, RelationMemo())
+            assert R_star(it_s, ct_s, shared) and R_diamond(it_s, gs_s, shared)
 
 
 # ---------------------------------------------------------------------------
-# deep_eq
+# Exact structure and sharing
 # ---------------------------------------------------------------------------
 
 
-def test_deep_eq_ignores_sharing_differences():
-    shared = plist([1, 2, 3])
-    rebuilt = plist([1, 2, 3])
-    assert deep_eq(ClosureGS(IDENT, shared, NIL, NIL), ClosureGS(IDENT, rebuilt, NIL, NIL))
+def test_relation_ignores_sharing_differences():
+    c = _it(Var(0), 2, plist([2, 1]), env=plist([_it(IDENT), _it(IDENT)]))
+    shared = ClosureGS(IDENT, NIL, NIL, NIL)
+    assert R_diamond(c, ClosureGS(Var(0), plist([shared, shared]), NIL, NIL))
+    rebuilt = [ClosureGS(Lam(Var(0)), NIL, NIL, NIL) for _ in range(2)]
+    assert R_diamond(c, ClosureGS(Var(0), plist(rebuilt), NIL, NIL))
+    ct_env = plist([ClosureCT(Lam(Var(0)), NIL, NIL), ClosureCT(IDENT, NIL, NIL)])
+    assert R_star(replace(c, term=Lam(Var(1))), ClosureCT(Lam(Var(1)), ct_env, NIL))
 
 
-def test_deep_eq_detects_differences():
-    assert not deep_eq(ClosureGS(IDENT, NIL, NIL, NIL), ClosureGS(Lam(Lam(Var(0))), NIL, NIL, NIL))
-    assert not deep_eq(plist([1, 2]), plist([1, 3]))
-    assert not deep_eq(plist([1]), plist([1, 1]))
-    assert not deep_eq(Var(0), Lam(Var(0)))
+def test_relation_detects_differences():
+    gs_ident = ClosureGS(IDENT, NIL, NIL, NIL)
+    assert not R_diamond(_it(IDENT), ClosureGS(Lam(Lam(Var(0))), NIL, NIL, NIL))
+    assert not R_diamond(_it(Var(0), 1, plist([1]), env=plist([_it(IDENT)])), ClosureGS(Var(1), plist([gs_ident]), NIL, NIL))
+    assert not R_diamond(_it(Var(0)), ClosureGS(Lam(Var(0)), NIL, NIL, NIL))
+    assert not R_diamond(_it(IDENT), ClosureGS(IDENT, NIL, NIL, plist([NIL])))
+    assert not R_diamond(_it(IDENT, mu_env=plist([NIL])), ClosureGS(IDENT, NIL, NIL, plist([NIL, NIL])))
+    # exact types: a ct closure is not a gs closure, a state is not a closure, True is not 1
+    assert not R_diamond(_it(IDENT), ClosureCT(IDENT, NIL, NIL))
+    assert not R_diamond(initial_it(IDENT), ClosureGS(IDENT, NIL, NIL, NIL))
+    assert not R_star(_it(Var(0), 1, plist([0])), ClosureCT(Var(True), NIL, NIL))
+    assert R_star(_it(Var(0), 1, plist([0])), ClosureCT(Var(1), NIL, NIL))
+    assert not R_star(initial_it(IDENT), StateCT(IDENT, NIL, NIL, plist([ClosureCT(IDENT, NIL, NIL)])))
 
 
-def test_deep_eq_on_dags_with_heavy_sharing():
-    # chains that double the unfolded tree at each level stay cheap
-    left = right = NIL
-    for i in range(200):
-        left = plist([left, left, i])
-        right = plist([right, right, i])
-    assert deep_eq(left, right)
-    assert not deep_eq(left, plist([right, right, -1]))
+def test_relation_on_dags_with_heavy_sharing():
+    # environments whose unfolding doubles at each level are still checked once per node
+    it_c, ct_c, gs_c = _it(IDENT), ClosureCT(IDENT, NIL, NIL), ClosureGS(IDENT, NIL, NIL, NIL)
+    for depth in range(2, 202):
+        it_c = _it(Var(0), depth, plist([depth, depth - 1]), env=plist([it_c] * depth))
+        ct_c = ClosureCT(Var(0), plist([ct_c] * depth), NIL)
+        gs_c = ClosureGS(Var(0), plist([gs_c, gs_c]), NIL, NIL)
+    assert R_star(it_c, ct_c)
+    assert R_diamond(it_c, gs_c)
+    assert not R_star(it_c, ClosureCT(Var(0), plist([ct_c] * 200), NIL))
+    assert not R_diamond(it_c, ClosureGS(Var(0), plist([gs_c, gs_c]), NIL, NIL))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +306,9 @@ def test_lockstep_detects_tampered_machine(monkeypatch):
     term = App(App(IDENT, IDENT), App(IDENT, IDENT))
     report = lockstep(term, "star", 100)
     assert report.outcome == "diverged"
-    assert report.diverged_at is not None
-    assert report.left and report.right
+    assert report.diverged_at == report.steps_checked == 3  # call 3 steps state 2 into state 3
+    assert report.detail == "it-state image differs from ct state at step 3"
+    assert report.left.endswith("stack=1>") and report.right.endswith("stack=0>")
 
 
 def test_lockstep_detects_early_halt(monkeypatch):
@@ -311,6 +365,108 @@ def test_lockstep_composed_reports_earliest_divergence(monkeypatch):
     assert report.outcome == "diverged"
     assert report.diverged_at == report.steps_checked == 2
     assert report.detail == "it-state image differs from gs state at step 2"
+
+
+_EXTRA = {"ct": ClosureCT(IDENT, NIL, NIL), "gs": ClosureGS(IDENT, NIL, NIL, NIL), "it": ClosureIT(IDENT, 0, NIL, NIL, NIL, NIL)}
+
+
+def _field_fault(machine, field):
+    """Replace the term, drop the vector's first entry, or push an extra entry onto a list field."""
+    if field == "term":
+        return lambda rule, s: (rule, replace(s, term=Lam(Lam(Var(0)))))
+    if field == "vec":
+        return lambda rule, s: (rule, replace(s, vec=s.vec.tail))
+    return lambda rule, s: (rule, replace(s, **{field: getattr(s, field).cons(_EXTRA[machine])}))
+
+
+@pytest.mark.parametrize(
+    "machine, field, pair, partner",
+    [
+        ("ct", "term", "composed", "ct"),
+        ("ct", "env", "composed", "ct"),
+        ("ct", "stack", "star", "ct"),
+        ("gs", "term", "composed", "gs"),
+        ("gs", "lenv", "composed", "gs"),
+        ("gs", "stack", "diamond", "gs"),
+        ("it", "term", "composed", "ct"),
+        ("it", "vec", "composed", "ct"),
+        ("it", "env", "diamond", "gs"),
+        ("it", "stack", "diamond", "gs"),
+    ],
+)
+def test_lockstep_reports_the_faulted_step(monkeypatch, machine, field, pair, partner):
+    genuine = {"ct": step_ct, "gs": step_gs, "it": step_it}[machine]
+    fault = _field_fault(machine, field)
+    monkeypatch.setattr(bisim, f"step_{machine}", _fault_at_call(genuine, 6, fault))
+    report = lockstep(OMEGA, pair, 50)
+    assert report.outcome == "diverged"
+    assert report.diverged_at == report.steps_checked == 6
+    assert report.detail == f"it-state image differs from {partner} state at step 6"
+    states = [initial_it(OMEGA)]
+    for _ in range(6):
+        states.append(step_it(states[-1])[1])
+    it_state = fault(None, states[6])[1] if machine == "it" else states[6]
+    assert report.left == bisim.describe_state(it_state)
+
+
+def test_lockstep_leaves_the_recursion_limit_alone():
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        report = lockstep(PING_PONG, "composed", 20_000)
+        limit = sys.getrecursionlimit()
+    finally:
+        sys.setrecursionlimit(saved)
+    assert limit == 1000
+    assert (report.outcome, report.steps_checked) == ("fuel_exhausted", 20_000)
+
+
+def test_memo_keeps_two_generations():
+    memo = RelationMemo()
+    a, b = object(), object()
+    assert memo.first_visit(("a",), (a,)) and memo.first_visit(("b",), (b,))
+    assert not memo.first_visit(("a",), (a,))
+    memo.age()
+    assert not memo.first_visit(("a",), (a,))  # a hit in the old generation is promoted
+    memo.age()
+    assert not memo.first_visit(("a",), (a,))
+    assert memo.first_visit(("b",), (b,))  # not seen for two agings: dropped
+
+
+def test_lockstep_memory_is_bounded(monkeypatch):
+    # The memo of proven pairs keeps two generations of _MEMO_GENERATION
+    # steps, so a run four generations long may peak above a one-generation
+    # run only by the second generation and by the machines' own growth (the
+    # ping-pong closures carry one more label per round). Measured on Python
+    # 3.11: 0.29-0.46 MB at one generation and 0.44-0.52 MB at four, the
+    # spread depending on what ran before in the process. Image caches that
+    # pin every closure ever mapped grow by about 1 KB per step instead:
+    # about 14 MB more at four generations.
+    memos = []
+
+    class RecordedMemo(RelationMemo):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(bisim, "RelationMemo", RecordedMemo)
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            assert lockstep(PING_PONG, "composed", steps).outcome == "fuel_exhausted"
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    generation = bisim._MEMO_GENERATION
+    assert peak(4 * generation) - peak(generation) < 1_000_000
+    # The memo itself ends both runs holding about one generation: 1248 and
+    # 1220 entries here, against 2480 after four generations without aging.
+    long_run, short_run = (len(memo.young) + len(memo.old) for memo in memos)
+    assert long_run < 1.5 * short_run
 
 
 def test_report_serialization():

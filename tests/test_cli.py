@@ -231,3 +231,14 @@ def test_gen_rejects_bad_flags(capsys):
     assert main(["gen", "--unsafe-ok", "--calculus", "gs"]) == 1
     assert main(["gen", "--count", "-3"]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == "error: --count must not be negative"
+
+
+def test_gen_out_dir_errors_are_input_errors(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("x", encoding="utf-8")
+    assert main(["gen", "--out-dir", str(not_a_dir)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot create directory {not_a_dir}: ")
+    blocked = tmp_path / "out" / "gen_0_000.gs"  # the first output name is taken by a directory
+    blocked.mkdir(parents=True)
+    assert main(["gen", "--out-dir", str(blocked.parent)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {blocked}: ")

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from coroutine_vm import machines
-from coroutine_vm.bisim import deep_eq
 from coroutine_vm.debruijn import to_debruijn_ct, to_debruijn_gs
 from coroutine_vm.errors import OpenTermError, WorkbenchError
 from coroutine_vm.gen import gen_gs_db
@@ -219,7 +218,7 @@ def test_rerun_from_saved_state_reproduces_suffix():
         replay.append(state)
     assert len(replay) == len(states) - 3
     for original, again in zip(states[3:], replay):
-        assert deep_eq(original, again)
+        assert original == again
 
 
 def test_max_steps_env_override(monkeypatch):
