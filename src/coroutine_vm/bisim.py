@@ -306,7 +306,8 @@ def lockstep(t: TermGS, pair: str = "composed", max_steps: int | None = None) ->
     it run (which forces the ct and gs runs to halt at the same step). At
     each step the relations are checked (ct before gs), then every state
     must have exactly one applicable rule, then all runs must go on, or all
-    end the same way; the first failure is reported. A stuck outcome is
+    end the same way, and last every step function must have returned the
+    rule that applies; the first failure is reported. A stuck outcome is
     always a divergence (well-scoped closed inputs never get stuck).
     """
     if pair not in PAIRS:
@@ -324,6 +325,7 @@ def lockstep(t: TermGS, pair: str = "composed", max_steps: int | None = None) ->
         partners.append(("gs", step_gs, R_diamond))
         states.append(initial_gs(t))
     states.append(it_initial)
+    names = [name for name, _, _ in partners] + ["it"]
 
     i = 0
     while True:
@@ -334,15 +336,20 @@ def lockstep(t: TermGS, pair: str = "composed", max_steps: int | None = None) ->
             if not related(it_state, state, memo):
                 detail = f"it-state image differs from {name} state at step {i}"
                 return _diverged(pair, i, describe_state(it_state), describe_state(state), detail)
+        applicable = []
         for state in states:
-            n_rules = len(applicable_rules(state))
-            if n_rules != 1:
+            rules = applicable_rules(state)
+            if len(rules) != 1:
                 detail = "rule dispatch was not deterministic"
-                return _diverged(pair, i, describe_state(state), f"{n_rules} rules apply", detail)
+                return _diverged(pair, i, describe_state(state), f"{len(rules)} rules apply", detail)
+            applicable.append(rules[0])
 
+        stepped = states[:]
         it_rule, states[-1] = step_it(it_state)
+        taken = []
         for k, (name, step, _) in enumerate(partners):
             rule, states[k] = step(states[k])
+            taken.append(rule)
             if rule != it_rule and (rule in _HALTS or it_rule in _HALTS):
                 left = f"it run: {_run_end(it_rule, i, fuel)} after {i} steps"
                 right = f"{name} run: {_run_end(rule, i, fuel)} after {i} steps"
@@ -350,6 +357,11 @@ def lockstep(t: TermGS, pair: str = "composed", max_steps: int | None = None) ->
             if rule == RULE_STUCK:
                 left, right = f"it run: stuck ({states[-1]})", f"{name} run: stuck ({states[k]})"
                 return _diverged(pair, i, left, right, "both machines got stuck (input was not well-scoped)")
+        taken.append(it_rule)
+        for name, rule, expected, state in zip(names, taken, applicable, stepped):
+            if rule != expected:
+                detail = f"{name} step returned rule {rule} where rule {expected} applies at step {i}"
+                return _diverged(pair, i, describe_state(state), f"{name} step: {rule}", detail)
         if it_rule == RULE_FINAL:
             return LockstepReport(pair, i, "both_halted")
         if i >= fuel:

@@ -12,11 +12,19 @@ closures, an abstraction meeting an empty stack is the final configuration.
     machine plus the depth/vector/table indirection that resolves local
     indices at run time.
 
-Step functions are pure and never mutate. Each returns (rule, successor):
-one of the RULE_* tags naming the rule it applied, and the next state for a
-transition, the value closure for RULE_FINAL, or the reason string for
-RULE_STUCK. Environments, stacks, vectors and tables are persistent lists,
-so every capture is O(1) and shares structure.
+Each machine is one rule table: a dict from term class to a rule
+(state, term) -> (rule, successor), with every rule written once. The rule
+is one of the RULE_* tags naming the rule applied, and the successor is the
+next state for a transition, the value closure for RULE_FINAL, or the reason
+string for RULE_STUCK. step_ct/step_gs/step_it look up the exact class of the
+state's term, type(term), so a subclass of a term class has no rule; a term
+of the other calculus raises TypeError. run looks up the same table itself
+and so saves a call per step. applicable_rules is written from the rules'
+guards and never reads the tables: it is the independent oracle that the
+determinism checks hold the tables to.
+
+Rules are pure and never mutate. Environments, stacks, vectors and tables
+are persistent lists, so every capture is O(1) and shares structure.
 
 States, closures and trace events are frozen slots dataclasses; their
 __init__ stores each field directly through its slot (see _direct_init), so
@@ -185,89 +193,143 @@ State = Union[StateCT, StateGS, StateIT]
 Closure = Union[ClosureCT, ClosureGS, ClosureIT]
 
 Step = tuple[str, Union[State, Closure, str]]  # (rule, successor)
+Rule = Callable[[State, Term], Step]  # (state, state.term) -> (rule, successor)
 
 # ---------------------------------------------------------------------------
-# Transition rules
+# Transition rules: one table per machine, from term class to rule
 # ---------------------------------------------------------------------------
+
+
+def _ct_var(s: StateCT, t: Var) -> Step:
+    if t.index >= s.env.length:
+        return RULE_STUCK, UNBOUND_VAR
+    entered: ClosureCT = s.env[t.index]
+    return RULE_VAR, StateCT(entered.term, entered.env, entered.mu_env, s.stack)
+
+
+def _ct_app(s: StateCT, t: App) -> Step:
+    pushed = ClosureCT(t.arg, s.env, s.mu_env)
+    return RULE_APP, StateCT(t.fn, s.env, s.mu_env, s.stack.cons(pushed))
+
+
+def _ct_lam(s: StateCT, t: Lam) -> Step:
+    if s.stack is NIL:
+        return RULE_FINAL, s.closure()
+    return RULE_LAM, StateCT(t.body, s.env.cons(s.stack.head), s.mu_env, s.stack.tail)
+
+
+def _ct_catch(s: StateCT, t: Catch) -> Step:
+    return RULE_CAPTURE, StateCT(t.body, s.env, s.mu_env.cons(s.stack), s.stack)
+
+
+def _ct_throw(s: StateCT, t: Throw) -> Step:
+    if t.label >= s.mu_env.length:
+        return RULE_STUCK, UNBOUND_MU
+    return RULE_RESTORE, StateCT(t.body, s.env, s.mu_env, s.mu_env[t.label])
+
+
+def _gs_var(s: StateGS, t: Var) -> Step:
+    if t.index >= s.lenv.length:
+        return RULE_STUCK, UNBOUND_VAR
+    entered: ClosureGS = s.lenv[t.index]
+    return RULE_VAR, StateGS(entered.term, entered.lenv, entered.lenv_mu, entered.mu_env, s.stack)
+
+
+def _gs_app(s: StateGS, t: App) -> Step:
+    pushed = ClosureGS(t.arg, s.lenv, s.lenv_mu, s.mu_env)
+    return RULE_APP, StateGS(t.fn, s.lenv, s.lenv_mu, s.mu_env, s.stack.cons(pushed))
+
+
+def _gs_lam(s: StateGS, t: Lam) -> Step:
+    if s.stack is NIL:
+        return RULE_FINAL, s.closure()
+    return RULE_LAM, StateGS(t.body, s.lenv.cons(s.stack.head), s.lenv_mu, s.mu_env, s.stack.tail)
+
+
+def _gs_get(s: StateGS, t: GetContext) -> Step:
+    return RULE_CAPTURE, StateGS(t.body, s.lenv, s.lenv_mu.cons(s.lenv), s.mu_env.cons(s.stack), s.stack)
+
+
+def _gs_set(s: StateGS, t: SetContext) -> Step:
+    if s.lenv_mu.length != s.mu_env.length or t.label >= s.lenv_mu.length:
+        return RULE_STUCK, UNBOUND_MU
+    return RULE_RESTORE, StateGS(t.body, s.lenv_mu[t.label], s.lenv_mu, s.mu_env, s.mu_env[t.label])
+
+
+def _it_var(s: StateIT, t: Var) -> Step:
+    if t.index >= s.vec.length:
+        return RULE_STUCK, UNBOUND_VAR
+    resolved = s.depth - s.vec[t.index]
+    if resolved < 0 or resolved >= s.env.length:
+        return RULE_STUCK, UNBOUND_VAR
+    entered: ClosureIT = s.env[resolved]
+    return RULE_VAR, StateIT(
+        entered.term, entered.depth, entered.vec, entered.table, entered.env, entered.mu_env, s.stack
+    )
+
+
+def _it_app(s: StateIT, t: App) -> Step:
+    pushed = ClosureIT(t.arg, s.depth, s.vec, s.table, s.env, s.mu_env)
+    return RULE_APP, StateIT(t.fn, s.depth, s.vec, s.table, s.env, s.mu_env, s.stack.cons(pushed))
+
+
+def _it_lam(s: StateIT, t: Lam) -> Step:
+    if s.stack is NIL:
+        return RULE_FINAL, s.closure()
+    deeper = s.depth + 1
+    return RULE_LAM, StateIT(
+        t.body, deeper, s.vec.cons(deeper), s.table, s.env.cons(s.stack.head), s.mu_env, s.stack.tail
+    )
+
+
+def _it_get(s: StateIT, t: GetContext) -> Step:
+    return RULE_CAPTURE, StateIT(t.body, s.depth, s.vec, s.table.cons(s.vec), s.env, s.mu_env.cons(s.stack), s.stack)
+
+
+def _it_set(s: StateIT, t: SetContext) -> Step:
+    if s.table.length != s.mu_env.length or t.label >= s.table.length:
+        return RULE_STUCK, UNBOUND_MU
+    return RULE_RESTORE, StateIT(t.body, s.depth, s.table[t.label], s.table, s.env, s.mu_env, s.mu_env[t.label])
+
+
+CT_RULES: dict[type, Rule] = {Var: _ct_var, App: _ct_app, Lam: _ct_lam, Catch: _ct_catch, Throw: _ct_throw}
+GS_RULES: dict[type, Rule] = {Var: _gs_var, App: _gs_app, Lam: _gs_lam, GetContext: _gs_get, SetContext: _gs_set}
+IT_RULES: dict[type, Rule] = {Var: _it_var, App: _it_app, Lam: _it_lam, GetContext: _it_get, SetContext: _it_set}
+
+
+# The calculus each machine runs, named in the error for a term of the other.
+_CALCULUS = {"ct": "catch/throw", "gs": "getctx/setctx", "it": "getctx/setctx"}
+
+
+def _not_a_term(machine: str, term: object) -> TypeError:
+    return TypeError(f"not a {_CALCULUS[machine]} term: {term!r}")
 
 
 def step_ct(s: StateCT) -> Step:
-    match s.term:
-        case Var(index):
-            if index >= s.env.length:
-                return RULE_STUCK, UNBOUND_VAR
-            entered: ClosureCT = s.env[index]
-            return RULE_VAR, StateCT(entered.term, entered.env, entered.mu_env, s.stack)
-        case App(fn, arg):
-            pushed = ClosureCT(arg, s.env, s.mu_env)
-            return RULE_APP, StateCT(fn, s.env, s.mu_env, s.stack.cons(pushed))
-        case Lam(body):
-            if s.stack is NIL:
-                return RULE_FINAL, s.closure()
-            return RULE_LAM, StateCT(body, s.env.cons(s.stack.head), s.mu_env, s.stack.tail)
-        case Catch(body):
-            return RULE_CAPTURE, StateCT(body, s.env, s.mu_env.cons(s.stack), s.stack)
-        case Throw(label, body):
-            if label >= s.mu_env.length:
-                return RULE_STUCK, UNBOUND_MU
-            return RULE_RESTORE, StateCT(body, s.env, s.mu_env, s.mu_env[label])
-    raise TypeError(f"not a catch/throw term: {s.term!r}")
+    t = s.term
+    try:
+        rule = CT_RULES[type(t)]
+    except KeyError:
+        raise _not_a_term("ct", t) from None
+    return rule(s, t)
 
 
 def step_gs(s: StateGS) -> Step:
-    match s.term:
-        case Var(index):
-            if index >= s.lenv.length:
-                return RULE_STUCK, UNBOUND_VAR
-            entered: ClosureGS = s.lenv[index]
-            return RULE_VAR, StateGS(entered.term, entered.lenv, entered.lenv_mu, entered.mu_env, s.stack)
-        case App(fn, arg):
-            pushed = ClosureGS(arg, s.lenv, s.lenv_mu, s.mu_env)
-            return RULE_APP, StateGS(fn, s.lenv, s.lenv_mu, s.mu_env, s.stack.cons(pushed))
-        case Lam(body):
-            if s.stack is NIL:
-                return RULE_FINAL, s.closure()
-            return RULE_LAM, StateGS(body, s.lenv.cons(s.stack.head), s.lenv_mu, s.mu_env, s.stack.tail)
-        case GetContext(body):
-            return RULE_CAPTURE, StateGS(body, s.lenv, s.lenv_mu.cons(s.lenv), s.mu_env.cons(s.stack), s.stack)
-        case SetContext(label, body):
-            if s.lenv_mu.length != s.mu_env.length or label >= s.lenv_mu.length:
-                return RULE_STUCK, UNBOUND_MU
-            return RULE_RESTORE, StateGS(body, s.lenv_mu[label], s.lenv_mu, s.mu_env, s.mu_env[label])
-    raise TypeError(f"not a getctx/setctx term: {s.term!r}")
+    t = s.term
+    try:
+        rule = GS_RULES[type(t)]
+    except KeyError:
+        raise _not_a_term("gs", t) from None
+    return rule(s, t)
 
 
 def step_it(s: StateIT) -> Step:
-    match s.term:
-        case Var(index):
-            if index >= s.vec.length:
-                return RULE_STUCK, UNBOUND_VAR
-            resolved = s.depth - s.vec[index]
-            if resolved < 0 or resolved >= s.env.length:
-                return RULE_STUCK, UNBOUND_VAR
-            entered: ClosureIT = s.env[resolved]
-            return RULE_VAR, StateIT(
-                entered.term, entered.depth, entered.vec, entered.table, entered.env, entered.mu_env, s.stack
-            )
-        case App(fn, arg):
-            pushed = ClosureIT(arg, s.depth, s.vec, s.table, s.env, s.mu_env)
-            return RULE_APP, StateIT(fn, s.depth, s.vec, s.table, s.env, s.mu_env, s.stack.cons(pushed))
-        case Lam(body):
-            if s.stack is NIL:
-                return RULE_FINAL, s.closure()
-            deeper = s.depth + 1
-            return RULE_LAM, StateIT(
-                body, deeper, s.vec.cons(deeper), s.table, s.env.cons(s.stack.head), s.mu_env, s.stack.tail
-            )
-        case GetContext(body):
-            return RULE_CAPTURE, StateIT(
-                body, s.depth, s.vec, s.table.cons(s.vec), s.env, s.mu_env.cons(s.stack), s.stack
-            )
-        case SetContext(label, body):
-            if s.table.length != s.mu_env.length or label >= s.table.length:
-                return RULE_STUCK, UNBOUND_MU
-            return RULE_RESTORE, StateIT(body, s.depth, s.table[label], s.table, s.env, s.mu_env, s.mu_env[label])
-    raise TypeError(f"not a getctx/setctx term: {s.term!r}")
+    t = s.term
+    try:
+        rule = IT_RULES[type(t)]
+    except KeyError:
+        raise _not_a_term("it", t) from None
+    return rule(s, t)
 
 # ---------------------------------------------------------------------------
 # Initial states
@@ -317,9 +379,9 @@ def _restore_guard(s: State) -> bool:
 def applicable_rules(s: State) -> list[str]:
     """Names of every rule whose guard holds in s.
 
-    Written as independent guard checks (not a match) so the determinism
-    property "exactly one rule applies in every reachable state" is tested
-    against something other than the step functions' own dispatch.
+    Written as independent guard checks (not a table lookup) so the
+    determinism property "exactly one rule applies in every reachable state"
+    is tested against something other than the rule tables' own dispatch.
     """
     rules = []
     term = s.term
@@ -370,6 +432,7 @@ MACHINES: dict[str, tuple[Callable[..., State], Callable[[State], Step]]] = {
     "gs": (initial_gs, step_gs),
     "it": (initial_it, step_it),
 }
+RULES: dict[str, dict[type, Rule]] = {"ct": CT_RULES, "gs": GS_RULES, "it": IT_RULES}
 
 
 def run(term: Term, machine: str, max_steps: int | None = None, collect_trace: bool = False) -> RunResult:
@@ -378,11 +441,14 @@ def run(term: Term, machine: str, max_steps: int | None = None, collect_trace: b
     steps counts applied transitions; a term that is already a value finishes
     in 0 steps. The trace, when collected, has one event per transition plus a
     terminal final/stuck event (fuel exhaustion ends the trace without one).
+    Each step looks its rule up in the machine's table, as the step
+    function does, without calling the step function.
     """
     if machine not in MACHINES:
         raise ValueError(f"unknown machine {machine!r} (expected 'ct', 'gs' or 'it')")
-    initial, step = MACHINES[machine]
+    initial, _ = MACHINES[machine]
     state = initial(term)
+    rules = RULES[machine]
     fuel = resolve_max_steps(max_steps)
     events: list[TraceEvent] | None = [] if collect_trace else None
     # Printed heads by id(subterm). The machines never build terms, so every
@@ -390,12 +456,17 @@ def run(term: Term, machine: str, max_steps: int | None = None, collect_trace: b
     heads: dict[int, str] = {}
     steps = 0
     while True:
-        rule, successor = step(state)
+        t = state.term
+        try:
+            apply = rules[type(t)]
+        except KeyError:
+            raise _not_a_term(machine, t) from None
+        rule, successor = apply(state, t)
         halted = rule == RULE_FINAL or rule == RULE_STUCK
         if events is not None and (halted or steps < fuel):
-            head = heads.get(id(state.term))
+            head = heads.get(id(t))
             if head is None:
-                head = heads[id(state.term)] = print_term(state.term)
+                head = heads[id(t)] = print_term(t)
             events.append(TraceEvent(steps, machine, rule, head, state.stack.length, state.mu_env.length))
         if halted or steps >= fuel:
             break

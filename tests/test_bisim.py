@@ -367,6 +367,26 @@ def test_lockstep_composed_reports_earliest_divergence(monkeypatch):
     assert report.detail == "it-state image differs from gs state at step 2"
 
 
+@pytest.mark.parametrize("machine, pair", [("ct", "star"), ("gs", "diamond"), ("gs", "composed"), ("it", "composed")])
+def test_lockstep_checks_the_rule_each_step_returns(monkeypatch, machine, pair):
+    # every var step tagged as app: the states stay right, only the returned rule is wrong
+    genuine = {"ct": step_ct, "gs": step_gs, "it": step_it}[machine]
+
+    def mistagged(state):
+        rule, successor = genuine(state)
+        return ("app" if rule == "var" else rule), successor
+
+    monkeypatch.setattr(bisim, f"step_{machine}", mistagged)
+    report = lockstep(OMEGA, pair, 50)
+    assert report.outcome == "diverged"
+    assert report.diverged_at == report.steps_checked == 3  # omega: app, lam, app, then var
+    assert report.detail == f"{machine} step returned rule app where rule var applies at step 3"
+    state = {"ct": initial_ct(down(OMEGA)), "gs": initial_gs(OMEGA), "it": initial_it(OMEGA)}[machine]
+    for _ in range(3):
+        state = genuine(state)[1]
+    assert (report.left, report.right) == (bisim.describe_state(state), f"{machine} step: app")
+
+
 _EXTRA = {"ct": ClosureCT(IDENT, NIL, NIL), "gs": ClosureGS(IDENT, NIL, NIL, NIL), "it": ClosureIT(IDENT, 0, NIL, NIL, NIL, NIL)}
 
 

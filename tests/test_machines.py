@@ -33,9 +33,9 @@ from coroutine_vm.machines import (
     step_gs,
     step_it,
 )
-from coroutine_vm.parser import parse_ct, parse_gs
+from coroutine_vm.parser import parse, parse_ct, parse_gs
 from coroutine_vm.plist import NIL, plist
-from coroutine_vm.terms import App, Catch, GetContext, Lam, SetContext, Throw, Var, print_term
+from coroutine_vm.terms import App, Catch, GetContext, Lam, NVar, SetContext, Throw, Var, print_term
 from coroutine_vm.translate import down
 
 CT_DEMO = Catch(Throw(0, Lam(Var(0))))
@@ -245,6 +245,92 @@ def test_negative_fuel_rejected(monkeypatch):
 def test_unknown_machine_rejected():
     with pytest.raises(ValueError):
         run(Lam(Var(0)), "cek")
+
+
+WRONG_CALCULUS = [
+    ("ct", GetContext(Var(0)), "not a catch/throw term: GetContext(body=Var(index=0))"),
+    ("ct", SetContext(0, Var(0)), "not a catch/throw term: SetContext(label=0, body=Var(index=0))"),
+    ("ct", NVar("x"), "not a catch/throw term: NVar(name='x')"),
+    ("gs", Catch(Var(0)), "not a getctx/setctx term: Catch(body=Var(index=0))"),
+    ("gs", Throw(0, Var(0)), "not a getctx/setctx term: Throw(label=0, body=Var(index=0))"),
+    ("gs", NVar("x"), "not a getctx/setctx term: NVar(name='x')"),
+    ("it", Catch(Var(0)), "not a getctx/setctx term: Catch(body=Var(index=0))"),
+    ("it", Throw(0, Var(0)), "not a getctx/setctx term: Throw(label=0, body=Var(index=0))"),
+    ("it", NVar("x"), "not a getctx/setctx term: NVar(name='x')"),
+]
+
+
+@pytest.mark.parametrize("machine, term, message", WRONG_CALCULUS)
+def test_step_functions_reject_terms_of_the_other_calculus(machine, term, message):
+    state = {
+        "ct": StateCT(term, NIL, NIL, NIL),
+        "gs": StateGS(term, NIL, NIL, NIL, NIL),
+        "it": StateIT(term, 0, NIL, NIL, NIL, NIL, NIL),
+    }[machine]
+    with pytest.raises(TypeError) as raised:
+        MACHINES[machine][1](state)
+    assert str(raised.value) == message
+
+
+def test_rules_dispatch_on_the_exact_term_class():
+    class MyVar(Var):
+        __slots__ = ()
+
+    with pytest.raises(TypeError, match=r"^not a catch/throw term: .*MyVar\(index=0\)$"):
+        step_ct(StateCT(MyVar(0), plist([ClosureCT(Lam(Var(0)), NIL, NIL)]), NIL, NIL))
+    with pytest.raises(TypeError, match=r"^not a getctx/setctx term: .*MyVar\(index=0\)$"):
+        run(App(Lam(MyVar(0)), Lam(Var(0))), "it", max_steps=10)  # is_scoped_gs accepts the subclass
+
+
+def _runs_to_compare(corpus_dir):
+    """(name, machine, index term): every corpus term on each machine that runs its calculus, then
+    seeded random terms on all three (ct on their translation)."""
+    files = sorted(corpus_dir.glob("*.ct")) + sorted(corpus_dir.glob("*.gs")) + sorted(corpus_dir.glob("gen/*.gs"))
+    out = []
+    for path in files:
+        calculus = path.suffix[1:]
+        try:
+            named = parse(path.read_text(encoding="utf-8"), calculus)
+            term = to_debruijn_ct(named) if calculus == "ct" else to_debruijn_gs(named)
+        except WorkbenchError:
+            continue  # e.g. bad.gs, which no machine accepts
+        out.extend((path.name, machine, term) for machine in (("ct",) if calculus == "ct" else ("gs", "it")))
+    rng = random.Random(7)
+    for k in range(100):
+        term = gen_gs_db(rng, rng.randint(1, 40))
+        out += [(f"random {k}", "ct", down(term)), (f"random {k}", "gs", term), (f"random {k}", "it", term)]
+    return out
+
+
+def test_run_agrees_with_its_step_function(corpus_dir):
+    # run drives the rule tables itself; replay each run with the step function by hand
+    fuel = 300
+    runs = _runs_to_compare(corpus_dir)
+    assert len(runs) >= 340
+    for name, machine, term in runs:
+        initial, step = MACHINES[machine]
+        states, rules = [initial(term)], []
+        while True:
+            rule, successor = step(states[-1])
+            rules.append(rule)
+            if rule in (RULE_FINAL, RULE_STUCK) or len(states) > fuel:
+                break
+            states.append(successor)
+        result = run(term, machine, max_steps=fuel, collect_trace=True)
+        halted = rule in (RULE_FINAL, RULE_STUCK)
+        traced = states if halted else states[:-1]  # fuel exhaustion ends the trace without an event
+        assert [e.rule for e in result.events] == rules[: len(traced)], (name, machine)
+        assert [(e.head, e.stack_depth, e.mu_count) for e in result.events] == [
+            (print_term(s.term), s.stack.length, s.mu_env.length) for s in traced
+        ], (name, machine)
+        assert result.steps == len(states) - 1, (name, machine)
+        if rule == RULE_FINAL:
+            assert (result.kind, result.closure) == ("final", successor), (name, machine)
+        else:
+            assert (result.kind, result.last_state) == ("fuel_exhausted", states[-1]), (name, machine)
+        # every state on the way: a run with fuel n stops in state n
+        for n, state in enumerate(states[:-1]):
+            assert run(term, machine, max_steps=n).last_state == state, (name, machine, n)
 
 
 RECORD_FIELDS = [
