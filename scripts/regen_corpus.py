@@ -41,7 +41,7 @@ def seeded_terms() -> list[Path]:
     for seed in range(1, SEEDED_COUNT + 1):
         term = gen_named_gs(random.Random(seed), SEEDED_SIZE)
         path = CORPUS / "gen" / f"seed_{seed:02}.gs"
-        path.write_text(print_term(term) + "\n", encoding="utf-8")
+        path.write_text(print_term(term, "gs") + "\n", encoding="utf-8")
         out.append(path)
     return out
 

@@ -44,20 +44,14 @@ from .safety import UseSets, VisibleEnv, is_safe, safe_db, safe_named, use_sets
 from .terms import (
     App,
     Catch,
-    GetContext,
     Lam,
     NApp,
     NCatch,
-    NGetContext,
     NLam,
-    NSetContext,
     NThrow,
     NVar,
-    SetContext,
     Throw,
     Var,
-    ct_to_gs_named,
-    gs_to_ct_named,
     is_closed_ct,
     is_scoped_gs,
     print_term,

@@ -5,9 +5,10 @@ closures) to those of the other machines:
 
   * R_star(c, d) relates an it state c to a ct state d. d.term must be
     down(c.term) in c's own depth/vector/table context. A variable at local
-    index l is the ct variable depth - vec[l], with l inside vec; a getctx
-    is a catch and pushes vec onto the table; a setctx is a throw to the
-    same label, which must be in the table, and switches to table[label].
+    index l is the ct variable depth - vec[l], with l inside vec; a capture
+    stays a capture and pushes vec onto the table; a restore stays a restore
+    to the same label, which must be in the table, and switches to
+    table[label].
     env, mu_env and the stack are related pointwise.
   * R_diamond(c, g) relates an it state c to a gs state g. The terms are
     the same object or structurally equal. g.lenv has one entry per entry k
@@ -36,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .machines import (
+    CALCULUS,
     ClosureCT,
     ClosureGS,
     ClosureIT,
@@ -55,7 +57,7 @@ from .machines import (
     step_it,
 )
 from .plist import NIL, PList
-from .terms import App, Catch, GetContext, Lam, SetContext, TermGS, Throw, Var, print_term
+from .terms import App, Catch, Lam, TermGS, Throw, Var, print_term
 from .translate import down
 
 PAIRS = ("star", "diamond", "composed")
@@ -197,28 +199,24 @@ def _star_term(x, y, depth: int, vec: PList, table: PList, memo: RelationMemo) -
     while todo:
         x, y, depth, vec, table = todo.pop()
         kind = type(x)
+        if type(y) is not kind:  # down keeps every node's class
+            return False
         if kind is Var:
             local = x.index
-            if type(y) is not Var or not 0 <= local < vec.length:
+            if not 0 <= local < vec.length:
                 return False
             if type(y.index) is not int or y.index != depth - vec[local]:
                 return False
         elif kind is App:
-            if type(y) is not App:
-                return False
             todo.append((x.fn, y.fn, depth, vec, table))
             todo.append((x.arg, y.arg, depth, vec, table))
         elif kind is Lam:
-            if type(y) is not Lam:
-                return False
             todo.append((x.body, y.body, depth + 1, vec.cons(depth + 1), table))
-        elif kind is GetContext:
-            if type(y) is not Catch:
-                return False
+        elif kind is Catch:
             todo.append((x.body, y.body, depth, vec, table.cons(vec)))
-        elif kind is SetContext:
+        elif kind is Throw:
             label = x.label
-            if type(y) is not Throw or type(y.label) is not int or y.label != label:
+            if type(y.label) is not int or y.label != label:
                 return False
             if not 0 <= label < table.length:
                 return False
@@ -273,18 +271,18 @@ class LockstepReport:
 
 
 def describe_state(s: State) -> str:
-    """One-line state summary for divergence reports."""
-    term = print_term(s.term)
+    """One-line state summary for divergence reports, its term in the machine's calculus."""
     if isinstance(s, StateCT):
-        shape = f"env={len(s.env)} labels={len(s.mu_env)} stack={len(s.stack)}"
+        machine, shape = "ct", f"env={len(s.env)} labels={len(s.mu_env)} stack={len(s.stack)}"
     elif isinstance(s, StateGS):
-        shape = f"lenv={len(s.lenv)} labels={len(s.lenv_mu)}/{len(s.mu_env)} stack={len(s.stack)}"
+        machine, shape = "gs", f"lenv={len(s.lenv)} labels={len(s.lenv_mu)}/{len(s.mu_env)} stack={len(s.stack)}"
     else:
+        machine = "it"
         shape = (
             f"depth={s.depth} vec={list(s.vec)} table=[{len(s.table)} vecs] "
             f"env={len(s.env)} labels={len(s.mu_env)} stack={len(s.stack)}"
         )
-    return f"<{term} | {shape}>"
+    return f"<{print_term(s.term, CALCULUS[machine])} | {shape}>"
 
 
 _HALTS = (RULE_FINAL, RULE_STUCK)

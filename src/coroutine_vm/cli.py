@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from . import bisim as bisim_mod
 from . import gen as gen_mod
 from .debruijn import to_debruijn_ct, to_debruijn_gs
 from .errors import WorkbenchError
-from .machines import DEFAULT_MAX_STEPS, MAX_STEPS_ENV_VAR, RunResult, TraceEvent, run
+from .machines import CALCULUS, DEFAULT_MAX_STEPS, MAX_STEPS_ENV_VAR, RunResult, TraceEvent, run
 from .parser import parse
 from .safety import is_safe, safe_db, safe_named
 from .terms import print_term
@@ -81,7 +82,7 @@ def cmd_parse(args) -> int:
     path = Path(args.file)
     calculus = _calculus_of(path, args.calculus)
     term = _load(path, calculus)
-    print(print_term(term))
+    print(print_term(term, calculus))
     return EXIT_OK
 
 
@@ -91,7 +92,7 @@ def cmd_check(args) -> int:
     named = _load(path, calculus)
     if calculus == "gs":
         term = to_debruijn_gs(named)  # raises with the visibility error on unsafe input
-        print(print_term(term))
+        print(print_term(term, "gs"))
         return EXIT_OK
 
     by_use_sets = is_safe(named)
@@ -107,7 +108,7 @@ def cmd_check(args) -> int:
     print(f"{'safe' if safe else 'unsafe'} ({verdicts})")
     if args.lift:
         if safe:
-            print(print_term(lift(indexed)))
+            print(print_term(lift(indexed), "gs"))
         else:
             try:
                 lift(indexed)
@@ -122,17 +123,17 @@ def cmd_compile(args) -> int:
     compiled = down(to_debruijn_gs(named))
     if not safe_db(compiled):
         # down is safe by construction; an unsafe image is a bug.
-        print(f"internal error: translation produced an unsafe term: {print_term(compiled)}", file=sys.stderr)
+        print(f"internal error: translation produced an unsafe term: {print_term(compiled, 'ct')}", file=sys.stderr)
         return EXIT_STUCK_OR_DIVERGED
-    print(print_term(compiled))
+    print(print_term(compiled, "ct"))
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
     path = Path(args.file)
     calculus = _calculus_of(path, args.calculus)
-    machine = args.machine or ("ct" if calculus == "ct" else "gs")
-    if (machine == "ct") != (calculus == "ct"):
+    machine = args.machine or calculus
+    if CALCULUS[machine] != calculus:
         raise WorkbenchError(
             f"the {machine} machine does not run {calculus} terms (compile first, or pick another machine)"
         )
@@ -142,7 +143,7 @@ def cmd_run(args) -> int:
     if args.trace:
         _print_events(result.events, args.format)
     if result.kind == "final":
-        print(f"final after {result.steps} steps: {print_term(result.closure.term)}")
+        print(f"final after {result.steps} steps: {print_term(result.closure.term, CALCULUS[machine])}")
         return EXIT_OK
     if result.kind == "stuck":
         print(f"stuck after {result.steps} steps: {result.reason}")
@@ -201,7 +202,7 @@ def cmd_gen(args) -> int:
             term = gen_mod.gen_named_ct(rng, args.size, unsafe_ok=args.unsafe_ok)
             if args.unsafe_ok and not is_safe(term):
                 unsafe += 1
-        text = print_term(term)
+        text = print_term(term, args.calculus)
         if out_dir:
             out_file = out_dir / f"gen_{args.seed}_{i:03}.{args.calculus}"
             try:
@@ -273,9 +274,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:  # the traversals still recurse once per nesting level
+        print("error: term nested too deeply", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:  # the reader went away; keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INPUT
 
 

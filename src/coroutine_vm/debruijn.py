@@ -3,8 +3,8 @@
 The catch/throw conversion is the standard one over two separate binder
 stacks. The getctx/setctx conversion additionally enforces the visibility
 discipline: it threads the list of variables visible in the current coroutine
-(Lam pushes, GetContext snapshots it per label, SetContext restores a
-snapshot) and indexes each variable by its position in that list. A bound but
+(Lam pushes, a capture snapshots it per label, a restore brings a snapshot
+back) and indexes each variable by its position in that list. A bound but
 invisible variable is the named-level unsafety signal and raises
 NotVisibleError rather than UnboundNameError.
 """
@@ -15,18 +15,14 @@ from .errors import NotVisibleError, TermPath, UnboundNameError
 from .terms import (
     App,
     Catch,
-    GetContext,
     Lam,
     NamedTermCT,
     NamedTermGS,
     NApp,
     NCatch,
-    NGetContext,
     NLam,
-    NSetContext,
     NThrow,
     NVar,
-    SetContext,
     TermCT,
     TermGS,
     Throw,
@@ -88,11 +84,11 @@ def _gs(
             )
         case NLam(param, body):
             return Lam(_gs(body, (param,) + visible, (param,) + bound, snapshots, path + ("body",)))
-        case NGetContext(label, body):
-            return GetContext(_gs(body, visible, bound, ((label, visible),) + snapshots, path + ("body",)))
-        case NSetContext(label, body):
+        case NCatch(label, body):
+            return Catch(_gs(body, visible, bound, ((label, visible),) + snapshots, path + ("body",)))
+        case NThrow(label, body):
             for index, (name, snapshot) in enumerate(snapshots):
                 if name == label:
-                    return SetContext(index, _gs(body, snapshot, bound, snapshots, path + ("body",)))
+                    return Throw(index, _gs(body, snapshot, bound, snapshots, path + ("body",)))
             raise UnboundNameError(label, path, kind="label")
     raise TypeError(f"not a named getctx/setctx term: {t!r}")

@@ -24,9 +24,7 @@ from .terms import (
     NamedTermGS,
     NApp,
     NCatch,
-    NGetContext,
     NLam,
-    NSetContext,
     NThrow,
     NVar,
     TermCT,
@@ -57,7 +55,7 @@ class _Names:
         return f"k{self.labels - 1}"
 
 
-def _gen_named(rng, size, names, visible, bound, labels, calculus, safe_only):
+def _gen_named(rng, size, names, visible, bound, labels, safe_only):
     """Shared recursion for the named generators.
 
     visible: names visible in the current coroutine (newest first).
@@ -85,35 +83,33 @@ def _gen_named(rng, size, names, visible, bound, labels, calculus, safe_only):
             return NVar(rng.choice(var_pool))
         case "app":
             left = rng.randint(1, size - 2)
-            fn = _gen_named(rng, left, names, visible, bound, labels, calculus, safe_only)
-            arg = _gen_named(rng, size - 1 - left, names, visible, bound, labels, calculus, safe_only)
+            fn = _gen_named(rng, left, names, visible, bound, labels, safe_only)
+            arg = _gen_named(rng, size - 1 - left, names, visible, bound, labels, safe_only)
             return NApp(fn, arg)
         case "lam":
             param = names.var()
-            body = _gen_named(rng, size - 1, names, (param,) + visible, (param,) + bound, labels, calculus, safe_only)
+            body = _gen_named(rng, size - 1, names, (param,) + visible, (param,) + bound, labels, safe_only)
             return NLam(param, body)
         case "capture":
             label = names.label()
-            body = _gen_named(
-                rng, size - 1, names, visible, bound, ((label, visible),) + labels, calculus, safe_only
-            )
-            return NCatch(label, body) if calculus == "ct" else NGetContext(label, body)
+            body = _gen_named(rng, size - 1, names, visible, bound, ((label, visible),) + labels, safe_only)
+            return NCatch(label, body)
         case "restore":
             label, snapshot = labels[rng.randrange(len(labels))]
             restored = snapshot if safe_only else visible
-            body = _gen_named(rng, size - 1, names, restored, bound, labels, calculus, safe_only)
-            return NThrow(label, body) if calculus == "ct" else NSetContext(label, body)
+            body = _gen_named(rng, size - 1, names, restored, bound, labels, safe_only)
+            return NThrow(label, body)
     raise AssertionError("unreachable")
 
 
 def gen_named_ct(rng: random.Random, size: int, unsafe_ok: bool = False) -> NamedTermCT:
     """A closed named catch/throw term; with unsafe_ok, safety is not enforced."""
-    return _gen_named(rng, max(1, size), _Names(), (), (), (), "ct", safe_only=not unsafe_ok)
+    return _gen_named(rng, max(1, size), _Names(), (), (), (), safe_only=not unsafe_ok)
 
 
 def gen_named_gs(rng: random.Random, size: int) -> NamedTermGS:
     """A closed, visibility-respecting named getctx/setctx term."""
-    return _gen_named(rng, max(1, size), _Names(), (), (), (), "gs", safe_only=True)
+    return _gen_named(rng, max(1, size), _Names(), (), (), (), safe_only=True)
 
 
 def gen_gs_db(rng: random.Random, size: int) -> TermGS:

@@ -12,16 +12,20 @@ closures, an abstraction meeting an empty stack is the final configuration.
     machine plus the depth/vector/table indirection that resolves local
     indices at run time.
 
+The calculi share one syntax, so the machine, not the term, says which
+indexing a term uses: CALCULUS maps each machine to the calculus it runs and
+prints. The CLI takes the calculus from the file extension.
+
 Each machine is one rule table: a dict from term class to a rule
 (state, term) -> (rule, successor), with every rule written once. The rule
 is one of the RULE_* tags naming the rule applied, and the successor is the
 next state for a transition, the value closure for RULE_FINAL, or the reason
 string for RULE_STUCK. step_ct/step_gs/step_it look up the exact class of the
-state's term, type(term), so a subclass of a term class has no rule; a term
-of the other calculus raises TypeError. run looks up the same table itself
-and so saves a call per step. applicable_rules is written from the rules'
-guards and never reads the tables: it is the independent oracle that the
-determinism checks hold the tables to.
+state's term, type(term), so a subclass of a term class has no rule and
+raises TypeError. run looks up the same table itself and so saves a call per
+step. applicable_rules is written from the rules' guards and never reads the
+tables: it is the independent oracle that the determinism checks hold the
+tables to.
 
 Rules are pure and never mutate. Environments, stacks, vectors and tables
 are persistent lists, so every capture is O(1) and shares structure.
@@ -44,11 +48,10 @@ from typing import Callable, Union
 from .errors import OpenTermError, WorkbenchError
 from .plist import NIL, PList
 from .terms import (
+    KEYWORDS,
     App,
     Catch,
-    GetContext,
     Lam,
-    SetContext,
     Term,
     TermCT,
     TermGS,
@@ -246,11 +249,11 @@ def _gs_lam(s: StateGS, t: Lam) -> Step:
     return RULE_LAM, StateGS(t.body, s.lenv.cons(s.stack.head), s.lenv_mu, s.mu_env, s.stack.tail)
 
 
-def _gs_get(s: StateGS, t: GetContext) -> Step:
+def _gs_get(s: StateGS, t: Catch) -> Step:
     return RULE_CAPTURE, StateGS(t.body, s.lenv, s.lenv_mu.cons(s.lenv), s.mu_env.cons(s.stack), s.stack)
 
 
-def _gs_set(s: StateGS, t: SetContext) -> Step:
+def _gs_set(s: StateGS, t: Throw) -> Step:
     if s.lenv_mu.length != s.mu_env.length or t.label >= s.lenv_mu.length:
         return RULE_STUCK, UNBOUND_MU
     return RULE_RESTORE, StateGS(t.body, s.lenv_mu[t.label], s.lenv_mu, s.mu_env, s.mu_env[t.label])
@@ -282,27 +285,27 @@ def _it_lam(s: StateIT, t: Lam) -> Step:
     )
 
 
-def _it_get(s: StateIT, t: GetContext) -> Step:
+def _it_get(s: StateIT, t: Catch) -> Step:
     return RULE_CAPTURE, StateIT(t.body, s.depth, s.vec, s.table.cons(s.vec), s.env, s.mu_env.cons(s.stack), s.stack)
 
 
-def _it_set(s: StateIT, t: SetContext) -> Step:
+def _it_set(s: StateIT, t: Throw) -> Step:
     if s.table.length != s.mu_env.length or t.label >= s.table.length:
         return RULE_STUCK, UNBOUND_MU
     return RULE_RESTORE, StateIT(t.body, s.depth, s.table[t.label], s.table, s.env, s.mu_env, s.mu_env[t.label])
 
 
 CT_RULES: dict[type, Rule] = {Var: _ct_var, App: _ct_app, Lam: _ct_lam, Catch: _ct_catch, Throw: _ct_throw}
-GS_RULES: dict[type, Rule] = {Var: _gs_var, App: _gs_app, Lam: _gs_lam, GetContext: _gs_get, SetContext: _gs_set}
-IT_RULES: dict[type, Rule] = {Var: _it_var, App: _it_app, Lam: _it_lam, GetContext: _it_get, SetContext: _it_set}
+GS_RULES: dict[type, Rule] = {Var: _gs_var, App: _gs_app, Lam: _gs_lam, Catch: _gs_get, Throw: _gs_set}
+IT_RULES: dict[type, Rule] = {Var: _it_var, App: _it_app, Lam: _it_lam, Catch: _it_get, Throw: _it_set}
 
-
-# The calculus each machine runs, named in the error for a term of the other.
-_CALCULUS = {"ct": "catch/throw", "gs": "getctx/setctx", "it": "getctx/setctx"}
+# The calculus each machine runs: the one that prints its terms.
+CALCULUS = {"ct": "ct", "gs": "gs", "it": "gs"}
 
 
 def _not_a_term(machine: str, term: object) -> TypeError:
-    return TypeError(f"not a {_CALCULUS[machine]} term: {term!r}")
+    capture, restore, _, _ = KEYWORDS[CALCULUS[machine]]
+    return TypeError(f"not a {capture}/{restore} term: {term!r}")
 
 
 def step_ct(s: StateCT) -> Step:
@@ -393,9 +396,9 @@ def applicable_rules(s: State) -> list[str]:
         rules.append(RULE_LAM)
     if isinstance(term, Lam) and s.stack is NIL:
         rules.append(RULE_FINAL)
-    if isinstance(term, (Catch, GetContext)):
+    if isinstance(term, Catch):
         rules.append(RULE_CAPTURE)
-    if isinstance(term, (Throw, SetContext)) and _restore_guard(s):
+    if isinstance(term, Throw) and _restore_guard(s):
         rules.append(RULE_RESTORE)
     return rules
 
@@ -449,6 +452,7 @@ def run(term: Term, machine: str, max_steps: int | None = None, collect_trace: b
     initial, _ = MACHINES[machine]
     state = initial(term)
     rules = RULES[machine]
+    calculus = CALCULUS[machine]
     fuel = resolve_max_steps(max_steps)
     events: list[TraceEvent] | None = [] if collect_trace else None
     # Printed heads by id(subterm). The machines never build terms, so every
@@ -466,7 +470,7 @@ def run(term: Term, machine: str, max_steps: int | None = None, collect_trace: b
         if events is not None and (halted or steps < fuel):
             head = heads.get(id(t))
             if head is None:
-                head = heads[id(t)] = print_term(t)
+                head = heads[id(t)] = print_term(t, calculus)
             events.append(TraceEvent(steps, machine, rule, head, state.stack.length, state.mu_env.length))
         if halted or steps >= fuel:
             break

@@ -3,11 +3,13 @@
 Grammar (one term per file, `--` comments to end of line):
 
     t    ::= "\\" id "." t
-           | "catch" id "." t  | "throw" id t      (catch/throw files)
-           | "getctx" id "." t | "setctx" id t     (getctx/setctx files)
+           | capture id "." t | restore id t
            | atoms
     atoms ::= atom atom+            left-associative application
     atom ::= id | "(" t ")"
+
+capture/restore is catch/throw in `.ct` files and getctx/setctx in `.gs`
+files (terms.KEYWORDS); both parse to NCatch/NThrow.
 
 Prefix-form bodies extend maximally to the right; application binds tighter,
 so a prefix form used as a function or argument must be parenthesized.
@@ -19,21 +21,18 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .terms import (
+    KEYWORDS,
     NamedTerm,
     NamedTermCT,
     NamedTermGS,
     NApp,
     NCatch,
-    NGetContext,
     NLam,
-    NSetContext,
     NThrow,
     NVar,
 )
 
-CT_KEYWORDS = {"catch", "throw"}
-GS_KEYWORDS = {"getctx", "setctx"}
-ALL_KEYWORDS = CT_KEYWORDS | GS_KEYWORDS
+ALL_KEYWORDS = {word for capture, restore, _, _ in KEYWORDS.values() for word in (capture, restore)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,10 +92,11 @@ def tokenize(src: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], keywords: set[str]):
+    def __init__(self, tokens: list[Token], capture: str, restore: str):
         self.tokens = tokens
         self.pos = 0
-        self.keywords = keywords
+        self.capture = capture
+        self.restore = restore
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -126,16 +126,16 @@ class _Parser:
             self.expect("dot", "'.'")
             return NLam(param, self.term())
         if tok.kind == "keyword":
-            if tok.text not in self.keywords:
+            if tok.text not in (self.capture, self.restore):
                 raise ParseError(f"unknown keyword for this calculus: {tok.text!r}", tok.line, tok.col)
             self.advance()
             label = self.ident()
-            if tok.text in ("catch", "getctx"):
+            if tok.text == self.capture:
                 self.expect("dot", "'.'")
                 body = self.term()
-                return NCatch(label, body) if tok.text == "catch" else NGetContext(label, body)
+                return NCatch(label, body)
             body = self.term()
-            return NThrow(label, body) if tok.text == "throw" else NSetContext(label, body)
+            return NThrow(label, body)
         return self.app_seq()
 
     def app_seq(self) -> NamedTerm:
@@ -164,24 +164,20 @@ class _Parser:
 
 def parse_ct(src: str) -> NamedTermCT:
     """Parse catch/throw source text into a named term."""
-    return _parse(src, CT_KEYWORDS)
+    return parse(src, "ct")
 
 
 def parse_gs(src: str) -> NamedTermGS:
     """Parse getctx/setctx source text into a named term."""
-    return _parse(src, GS_KEYWORDS)
+    return parse(src, "gs")
 
 
 def parse(src: str, calculus: str) -> NamedTerm:
-    if calculus == "ct":
-        return parse_ct(src)
-    if calculus == "gs":
-        return parse_gs(src)
-    raise ValueError(f"unknown calculus {calculus!r} (expected 'ct' or 'gs')")
-
-
-def _parse(src: str, keywords: set[str]) -> NamedTerm:
-    parser = _Parser(tokenize(src), keywords)
+    """Parse source text in calculus ("ct" or "gs") into a named term."""
+    if calculus not in KEYWORDS:
+        raise ValueError(f"unknown calculus {calculus!r} (expected 'ct' or 'gs')")
+    capture, restore, _, _ = KEYWORDS[calculus]
+    parser = _Parser(tokenize(src), capture, restore)
     term = parser.term()
     trailing = parser.peek()
     if trailing.kind != "eof":

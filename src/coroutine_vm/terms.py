@@ -1,15 +1,16 @@
-"""Term syntax for the two calculi, in named and index form.
+"""One term syntax for both calculi, in named and index form.
 
 Named terms are what the parser produces and the printer renders; index terms
-are what the safety judgment, the translation and the machines consume. Both
-calculi share variable/application/abstraction nodes; they differ only in the
-control pair (catch/throw vs getctx/setctx).
+are what the safety judgment, the translation and the machines consume.
+getctx/setctx is catch/throw read under another indexing, so both calculi
+share every node: NCatch/Catch captures and NThrow/Throw restores. The caller
+names the calculus, and KEYWORDS gives the words it is parsed and printed in.
 
 Index terms use 0-based indices in two separate name spaces:
   * variable indices count intervening Lam binders (catch/throw calculus) or
     positions in the current coroutine's visible vector (getctx/setctx
     calculus);
-  * label indices count intervening Catch / GetContext binders.
+  * label indices count intervening capture binders.
 """
 
 from __future__ import annotations
@@ -51,21 +52,8 @@ class NThrow:
     body: "NamedTerm"
 
 
-@dataclass(frozen=True, slots=True)
-class NGetContext:
-    label: str
-    body: "NamedTerm"
-
-
-@dataclass(frozen=True, slots=True)
-class NSetContext:
-    label: str
-    body: "NamedTerm"
-
-
-NamedTermCT = Union[NVar, NApp, NLam, NCatch, NThrow]
-NamedTermGS = Union[NVar, NApp, NLam, NGetContext, NSetContext]
-NamedTerm = Union[NamedTermCT, NamedTermGS]
+NamedTerm = Union[NVar, NApp, NLam, NCatch, NThrow]
+NamedTermCT = NamedTermGS = NamedTerm
 
 # ---------------------------------------------------------------------------
 # Index (de Bruijn) terms
@@ -90,44 +78,37 @@ class Lam:
 
 @dataclass(frozen=True, slots=True)
 class Catch:
-    body: "TermCT"
+    body: "Term"
 
 
 @dataclass(frozen=True, slots=True)
 class Throw:
     label: int
-    body: "TermCT"
+    body: "Term"
 
 
-@dataclass(frozen=True, slots=True)
-class GetContext:
-    body: "TermGS"
+Term = Union[Var, App, Lam, Catch, Throw]
+# The *CT/*GS names only say which indexing a function expects.
+TermCT = TermGS = Term
 
-
-@dataclass(frozen=True, slots=True)
-class SetContext:
-    label: int
-    body: "TermGS"
-
-
-TermCT = Union[Var, App, Lam, Catch, Throw]
-TermGS = Union[Var, App, Lam, GetContext, SetContext]
-Term = Union[TermCT, TermGS]
-
-PREFIX_NODES = (NLam, NCatch, NThrow, NGetContext, NSetContext, Lam, Catch, Throw, GetContext, SetContext)
+PREFIX_NODES = (NLam, NCatch, NThrow, Lam, Catch, Throw)
 
 # ---------------------------------------------------------------------------
-# Printing
+# Concrete syntax
 # ---------------------------------------------------------------------------
 
+# Per calculus: the named capture and restore keywords, then the index-form
+# capture head and restore keyword.
+KEYWORDS = {"ct": ("catch", "throw", "catch.", "throw"), "gs": ("getctx", "setctx", "get.", "set")}
 
-def print_term(t: NamedTerm | Term) -> str:
-    """Render a term in the concrete syntax.
+
+def print_term(t: NamedTerm | Term, calculus: str) -> str:
+    """Render a term in the concrete syntax of calculus ("ct" or "gs").
 
     Prefix-form bodies extend maximally to the right, so a prefix form is
     parenthesized whenever it appears to the left of an application or as an
-    argument; parse(print_term(t)) == t for named terms. Index terms render
-    variables as #k and binders without names (`\\.`, `catch.`, `get.`).
+    argument; parse(print_term(t, c), c) == t for named terms. Index terms
+    render variables as #k and binders without names (`\\.`, `catch.`, `get.`).
     """
     match t:
         case NVar(name):
@@ -135,34 +116,26 @@ def print_term(t: NamedTerm | Term) -> str:
         case Var(index):
             return f"#{index}"
         case NApp(fn, arg) | App(fn, arg):
-            fn_s = _wrap(fn, also_app=False)
-            arg_s = _wrap(arg, also_app=True)
+            fn_s = _wrap(fn, calculus, also_app=False)
+            arg_s = _wrap(arg, calculus, also_app=True)
             return f"{fn_s} {arg_s}"
         case NLam(param, body):
-            return f"\\{param}. {print_term(body)}"
+            return f"\\{param}. {print_term(body, calculus)}"
         case NCatch(label, body):
-            return f"catch {label}. {print_term(body)}"
+            return f"{KEYWORDS[calculus][0]} {label}. {print_term(body, calculus)}"
         case NThrow(label, body):
-            return f"throw {label} {print_term(body)}"
-        case NGetContext(label, body):
-            return f"getctx {label}. {print_term(body)}"
-        case NSetContext(label, body):
-            return f"setctx {label} {print_term(body)}"
+            return f"{KEYWORDS[calculus][1]} {label} {print_term(body, calculus)}"
         case Lam(body):
-            return f"\\. {print_term(body)}"
+            return f"\\. {print_term(body, calculus)}"
         case Catch(body):
-            return f"catch. {print_term(body)}"
+            return f"{KEYWORDS[calculus][2]} {print_term(body, calculus)}"
         case Throw(label, body):
-            return f"throw {label} {print_term(body)}"
-        case GetContext(body):
-            return f"get. {print_term(body)}"
-        case SetContext(label, body):
-            return f"set {label} {print_term(body)}"
+            return f"{KEYWORDS[calculus][3]} {label} {print_term(body, calculus)}"
     raise TypeError(f"not a term: {t!r}")
 
 
-def _wrap(t: NamedTerm | Term, also_app: bool) -> str:
-    text = print_term(t)
+def _wrap(t: NamedTerm | Term, calculus: str, also_app: bool) -> str:
+    text = print_term(t, calculus)
     if isinstance(t, PREFIX_NODES) or (also_app and isinstance(t, (NApp, App))):
         return f"({text})"
     return text
@@ -193,7 +166,7 @@ def is_scoped_gs(t: TermGS, visible_len: int = 0, snapshot_lens: tuple[int, ...]
 
     Local indices are positions in the current coroutine's visible vector, so
     validity depends only on the vector *lengths*: Lam grows the current
-    length by one, GetContext snapshots it, SetContext restores a snapshot.
+    length by one, a capture snapshots it, a restore brings a snapshot back.
     """
     match t:
         case Var(index):
@@ -202,42 +175,10 @@ def is_scoped_gs(t: TermGS, visible_len: int = 0, snapshot_lens: tuple[int, ...]
             return is_scoped_gs(fn, visible_len, snapshot_lens) and is_scoped_gs(arg, visible_len, snapshot_lens)
         case Lam(body):
             return is_scoped_gs(body, visible_len + 1, snapshot_lens)
-        case GetContext(body):
+        case Catch(body):
             return is_scoped_gs(body, visible_len, (visible_len,) + snapshot_lens)
-        case SetContext(label, body):
+        case Throw(label, body):
             if label >= len(snapshot_lens):
                 return False
             return is_scoped_gs(body, snapshot_lens[label], snapshot_lens)
     raise TypeError(f"not a getctx/setctx term: {t!r}")
-
-
-def gs_to_ct_named(t: NamedTermGS) -> NamedTermCT:
-    """Keyword swap getctx→catch / setctx→throw, leaving everything else alone."""
-    match t:
-        case NVar():
-            return t
-        case NApp(fn, arg):
-            return NApp(gs_to_ct_named(fn), gs_to_ct_named(arg))
-        case NLam(param, body):
-            return NLam(param, gs_to_ct_named(body))
-        case NGetContext(label, body):
-            return NCatch(label, gs_to_ct_named(body))
-        case NSetContext(label, body):
-            return NThrow(label, gs_to_ct_named(body))
-    raise TypeError(f"not a named getctx/setctx term: {t!r}")
-
-
-def ct_to_gs_named(t: NamedTermCT) -> NamedTermGS:
-    """Keyword swap catch→getctx / throw→setctx."""
-    match t:
-        case NVar():
-            return t
-        case NApp(fn, arg):
-            return NApp(ct_to_gs_named(fn), ct_to_gs_named(arg))
-        case NLam(param, body):
-            return NLam(param, ct_to_gs_named(body))
-        case NCatch(label, body):
-            return NGetContext(label, ct_to_gs_named(body))
-        case NThrow(label, body):
-            return NSetContext(label, ct_to_gs_named(body))
-    raise TypeError(f"not a named catch/throw term: {t!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import NotSafeError, OpenMuTermError, TermPath, UnsafeLocalIndexError
 from .plist import NIL, PList
-from .terms import App, Catch, GetContext, Lam, SetContext, TermCT, TermGS, Throw, Var
+from .terms import App, Catch, Lam, TermCT, TermGS, Throw, Var
 
 
 def down(t: TermGS, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> TermCT:
@@ -37,9 +37,9 @@ def _down(t: TermGS, depth: int, vec: PList, table: PList, path: TermPath) -> Te
             )
         case Lam(body):
             return Lam(_down(body, depth + 1, vec.cons(depth + 1), table, path + ("body",)))
-        case GetContext(body):
+        case Catch(body):
             return Catch(_down(body, depth, vec, table.cons(vec), path + ("body",)))
-        case SetContext(label, body):
+        case Throw(label, body):
             if label >= len(table):
                 raise OpenMuTermError(label, len(table), path)
             return Throw(label, _down(body, depth, table[label], table, path + ("body",)))
@@ -74,9 +74,9 @@ def _lift(t: TermCT, depth: int, vec: PList, table: PList, path: TermPath) -> Te
             assert not vec or depth + 1 > vec.head, "visibility vector must stay strictly decreasing"
             return Lam(_lift(body, depth + 1, vec.cons(depth + 1), table, path + ("body",)))
         case Catch(body):
-            return GetContext(_lift(body, depth, vec, table.cons(vec), path + ("body",)))
+            return Catch(_lift(body, depth, vec, table.cons(vec), path + ("body",)))
         case Throw(label, body):
             if label >= len(table):
                 raise OpenMuTermError(label, len(table), path)
-            return SetContext(label, _lift(body, depth, table[label], table, path + ("body",)))
+            return Throw(label, _lift(body, depth, table[label], table, path + ("body",)))
     raise TypeError(f"not a catch/throw term: {t!r}")

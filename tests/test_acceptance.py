@@ -80,7 +80,7 @@ def test_criterion_2_safety_equivalence():
             a = is_safe(term)
             b = safe_named(term)
             c = safe_db(to_debruijn_ct(term))
-            assert a == b == c, print_term(term)
+            assert a == b == c, print_term(term, "ct")
             if a:
                 safe_seen += 1
             else:
@@ -96,19 +96,19 @@ def test_criterion_3_translation_round_trips():
         for _ in range(ROUND_TRIP_TERMS):
             term = gen_gs_db(rng, rng.randint(1, 30))
             translated = down(term)
-            assert safe_db(translated), print_term(term)
-            assert lift(translated) == term, print_term(term)
+            assert safe_db(translated), print_term(term, "gs")
+            assert lift(translated) == term, print_term(term, "gs")
         lifted = rejected = 0
         for _ in range(ROUND_TRIP_TERMS):
             term = gen_ct_db(rng, rng.randint(1, 30))
             expected = safe_db(term)
             try:
                 recovered = lift(term)
-                assert expected, print_term(term)
-                assert down(recovered) == term, print_term(term)
+                assert expected, print_term(term, "ct")
+                assert down(recovered) == term, print_term(term, "ct")
                 lifted += 1
             except NotSafeError:
-                assert not expected, print_term(term)
+                assert not expected, print_term(term, "ct")
                 rejected += 1
         assert lifted and rejected
 
@@ -144,7 +144,7 @@ def test_criterion_6_composed_lockstep(gs_corpus):
         for term in gs_corpus:
             ct_result = run(down(term), "ct", max_steps=LOCKSTEP_FUEL)
             gs_result = run(term, "gs", max_steps=LOCKSTEP_FUEL)
-            assert (ct_result.kind, ct_result.steps) == (gs_result.kind, gs_result.steps), print_term(term)
+            assert (ct_result.kind, ct_result.steps) == (gs_result.kind, gs_result.steps), print_term(term, "gs")
 
     _report(6, "composed lock-step passes and the ct/gs machines halt at identical steps", None, work)
 
@@ -161,9 +161,9 @@ def test_criterion_7_determinism_and_no_stuck(gs_corpus):
                 state = make_initial(term)
                 for _ in range(LOCKSTEP_FUEL + 1):
                     rules = applicable_rules(state)
-                    assert len(rules) == 1, (print_term(term), rules)
+                    assert len(rules) == 1, (print_term(term, "gs"), rules)
                     rule, successor = step(state)
-                    assert rule != RULE_STUCK, print_term(term)
+                    assert rule != RULE_STUCK, print_term(term, "gs")
                     if rule == RULE_FINAL:
                         break
                     state = successor

@@ -28,10 +28,10 @@ from coroutine_vm.machines import (
 )
 from coroutine_vm.parser import parse_gs
 from coroutine_vm.plist import NIL, plist
-from coroutine_vm.terms import App, Catch, GetContext, Lam, SetContext, Throw, Var
+from coroutine_vm.terms import App, Catch, Lam, Throw, Var
 from coroutine_vm.translate import down
 
-GS_DEMO = GetContext(SetContext(0, Lam(Var(0))))
+GS_DEMO = Catch(Throw(0, Lam(Var(0))))
 IDENT = Lam(Var(0))
 OMEGA = App(Lam(App(Var(0), Var(0))), Lam(App(Var(0), Var(0))))
 PING_PONG = to_debruijn_gs(parse_gs(r"(\x. x x) (\y. getctx k. setctx k (y y))"))
@@ -106,14 +106,14 @@ def test_star_rejects_unsafe_embedded_closure():
 def test_star_walks_labels_through_the_table():
     # get. (\. set 0 #0) under an outer binder: the catch pushes vec [1], the
     # inner binder sees depth 2 through [2, 1], the throw switches back to [1]
-    term = GetContext(Lam(SetContext(0, Var(0))))
+    term = Catch(Lam(Throw(0, Var(0))))
     c = _it(term, 1, plist([1]), env=plist([_it(IDENT)]))
     env = plist([ClosureCT(IDENT, NIL, NIL)])
     assert down(term, 1, plist([1])) == Catch(Lam(Throw(0, Var(1))))
     assert R_star(c, ClosureCT(Catch(Lam(Throw(0, Var(1)))), env, NIL))
     assert not R_star(c, ClosureCT(Catch(Lam(Throw(0, Var(0)))), env, NIL))  # vector not switched
     assert not R_star(c, ClosureCT(Catch(Lam(Throw(1, Var(1)))), env, NIL))  # label differs
-    assert not R_star(_it(SetContext(0, Var(0)), 1, plist([1])), ClosureCT(Throw(0, Var(0)), NIL, NIL))
+    assert not R_star(_it(Throw(0, Var(0)), 1, plist([1])), ClosureCT(Throw(0, Var(0)), NIL, NIL))
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +178,13 @@ def test_diamond_after_lam_bind():
 def test_diamond_carries_term_unchanged():
     c = _it(GS_DEMO)
     assert R_diamond(c, ClosureGS(GS_DEMO, NIL, NIL, NIL))
-    assert R_diamond(c, ClosureGS(GetContext(SetContext(0, Lam(Var(0)))), NIL, NIL, NIL))  # equal, not shared
-    assert not R_diamond(c, ClosureGS(GetContext(SetContext(1, Lam(Var(0)))), NIL, NIL, NIL))
-    assert not R_diamond(c, ClosureGS(down(GS_DEMO), NIL, NIL, NIL))
+    assert R_diamond(c, ClosureGS(Catch(Throw(0, Lam(Var(0)))), NIL, NIL, NIL))  # equal, not shared
+    assert not R_diamond(c, ClosureGS(Catch(Throw(1, Lam(Var(0)))), NIL, NIL, NIL))
+    # the gs machine runs the term itself, not its translation: here down moves x from 0 to 1
+    shifted = to_debruijn_gs(parse_gs(r"\x. getctx a. \y. setctx a x"))
+    assert down(shifted) == Lam(Catch(Lam(Throw(0, Var(1))))) != shifted
+    assert R_diamond(_it(shifted), ClosureGS(shifted, NIL, NIL, NIL))
+    assert not R_diamond(_it(shifted), ClosureGS(down(shifted), NIL, NIL, NIL))
 
 
 def test_state_maps_are_functional():

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import coroutine_vm
 from coroutine_vm import cli
 from coroutine_vm.cli import main
 from coroutine_vm.debruijn import to_debruijn_ct, to_debruijn_gs
@@ -242,3 +249,44 @@ def test_gen_out_dir_errors_are_input_errors(tmp_path, capsys):
     blocked.mkdir(parents=True)
     assert main(["gen", "--out-dir", str(blocked.parent)]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot write {blocked}: ")
+
+
+# Until the traversals lose their recursion, a term nested past the recursion
+# limit must still end in an answer or one error: line, never a traceback.
+DEEP_TERMS = {"deep.ct": "\\x0. " * 1500 + "x0\n", "wide.gs": "\\x. " + " ".join(["x"] * 5000) + "\n"}
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("parse", "deep.ct"), ("check", "deep.ct"), ("run", "deep.ct"), ("compile", "wide.gs"), ("bisim", "wide.gs")],
+)
+def test_deep_terms_get_an_answer_or_an_error_line(tmp_path, capsys, command, name):
+    path = tmp_path / name
+    path.write_text(DEEP_TERMS[name], encoding="utf-8")
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 0 or (code == 1 and err.startswith("error:")), (code, err[-300:])
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["gen", "--count", "20000"], ["run", "corpus/omega.gs", "--trace", "--max-steps", "100000"]],
+    ids=["gen", "run-trace"],
+)
+def test_closed_stdout_is_not_a_traceback(args):
+    src = str(Path(coroutine_vm.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coroutine_vm.cli", *args],
+        cwd=Path(__file__).resolve().parent.parent,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()  # the reader takes one line and goes away, like `| head -1`
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_INPUT, err
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

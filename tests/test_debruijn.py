@@ -10,7 +10,6 @@ from coroutine_vm.safety import safe_named
 from coroutine_vm.terms import (
     App,
     Catch,
-    GetContext,
     Lam,
     NamedTerm,
     NApp,
@@ -18,10 +17,8 @@ from coroutine_vm.terms import (
     NLam,
     NThrow,
     NVar,
-    SetContext,
     Throw,
     Var,
-    ct_to_gs_named,
 )
 
 
@@ -69,7 +66,7 @@ def test_gs_identity():
 
 def test_gs_capture_example():
     term = parse_gs(r"\x. getctx a. \y. setctx a x")
-    assert to_debruijn_gs(term) == Lam(GetContext(Lam(SetContext(0, Var(0)))))
+    assert to_debruijn_gs(term) == Lam(Catch(Lam(Throw(0, Var(0)))))
 
 
 def test_gs_invisible_variable():
@@ -82,7 +79,7 @@ def test_gs_invisible_variable():
 def test_gs_restored_snapshot_indexing():
     # after setctx the visible vector is the snapshot, so x is index 0 again
     term = parse_gs(r"\x. getctx a. \y. setctx a (x x)")
-    assert to_debruijn_gs(term) == Lam(GetContext(Lam(SetContext(0, App(Var(0), Var(0))))))
+    assert to_debruijn_gs(term) == Lam(Catch(Lam(Throw(0, App(Var(0), Var(0))))))
 
 
 def _rename(term: NamedTerm, mapping: dict[str, str], counter: list[int]) -> NamedTerm:
@@ -114,16 +111,15 @@ def test_alpha_invariance():
 
 
 def test_gs_conversion_succeeds_iff_visibility_safe():
-    # keyword-swapped arbitrary closed terms: the visibility judgment on the
-    # catch/throw reading decides whether the getctx/setctx conversion works
+    # arbitrary closed terms read in both calculi: the visibility judgment on
+    # the catch/throw reading decides whether the getctx/setctx conversion works
     rng = random.Random(13)
     succeeded = failed = 0
     for _ in range(500):
-        ct = gen_named_ct(rng, rng.randint(1, 25), unsafe_ok=True)
-        gs = ct_to_gs_named(ct)
-        expected = safe_named(ct)
+        term = gen_named_ct(rng, rng.randint(1, 25), unsafe_ok=True)
+        expected = safe_named(term)
         try:
-            to_debruijn_gs(gs)
+            to_debruijn_gs(term)
             converted = True
             succeeded += 1
         except NotVisibleError:

@@ -1,9 +1,11 @@
 import random
 
+import pytest
+
 from coroutine_vm.debruijn import to_debruijn_gs
 from coroutine_vm.gen import gen_ct_db, gen_gs_db, gen_named_ct, gen_named_gs
 from coroutine_vm.safety import is_safe, safe_db
-from coroutine_vm.terms import NLam, NVar, is_closed_ct, is_scoped_gs
+from coroutine_vm.terms import NLam, NVar, is_closed_ct, is_scoped_gs, print_term
 from coroutine_vm.translate import down
 
 
@@ -12,6 +14,13 @@ def test_deterministic_per_seed():
     b = [gen_named_gs(random.Random(99), 20) for _ in range(5)]
     assert a == b
     assert gen_ct_db(random.Random(1), 20) == gen_ct_db(random.Random(1), 20)
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_seeded_corpus_is_regenerated_byte_for_byte(corpus_dir, seed):
+    # the recipe of scripts/regen_corpus.py for corpus/gen
+    expected = (corpus_dir / "gen" / f"seed_{seed:02}.gs").read_text(encoding="utf-8")
+    assert print_term(gen_named_gs(random.Random(seed), 24), "gs") + "\n" == expected
 
 
 def test_size_one_is_identity_shaped():

@@ -8,6 +8,7 @@ from coroutine_vm.debruijn import to_debruijn_ct, to_debruijn_gs
 from coroutine_vm.errors import OpenTermError, WorkbenchError
 from coroutine_vm.gen import gen_gs_db
 from coroutine_vm.machines import (
+    CALCULUS,
     ClosureCT,
     ClosureGS,
     ClosureIT,
@@ -35,11 +36,11 @@ from coroutine_vm.machines import (
 )
 from coroutine_vm.parser import parse, parse_ct, parse_gs
 from coroutine_vm.plist import NIL, plist
-from coroutine_vm.terms import App, Catch, GetContext, Lam, NVar, SetContext, Throw, Var, print_term
+from coroutine_vm.terms import App, Catch, Lam, NVar, Throw, Var, print_term
 from coroutine_vm.translate import down
 
 CT_DEMO = Catch(Throw(0, Lam(Var(0))))
-GS_DEMO = GetContext(SetContext(0, Lam(Var(0))))
+GS_DEMO = Catch(Throw(0, Lam(Var(0))))
 
 
 def test_ct_demo_hand_trace():
@@ -58,7 +59,7 @@ def test_gs_demo_hand_trace():
     s0 = initial_gs(GS_DEMO)
     rule, s1 = step_gs(s0)
     assert rule == RULE_CAPTURE
-    assert s1 == StateGS(SetContext(0, Lam(Var(0))), NIL, plist([NIL]), plist([NIL]), NIL)
+    assert s1 == StateGS(Throw(0, Lam(Var(0))), NIL, plist([NIL]), plist([NIL]), NIL)
     rule, s2 = step_gs(s1)
     assert rule == RULE_RESTORE
     assert s2 == StateGS(Lam(Var(0)), NIL, plist([NIL]), plist([NIL]), NIL)
@@ -93,7 +94,7 @@ def test_ct_application_rule_shape():
 
 def test_gs_capture_rule_pushes_both_maps():
     stack = plist([ClosureGS(Lam(Var(0)), NIL, NIL, NIL)])
-    state = StateGS(GetContext(Var(0)), NIL, NIL, NIL, stack)
+    state = StateGS(Catch(Var(0)), NIL, NIL, NIL, stack)
     _, out = step_gs(state)
     assert out.lenv_mu.head is state.lenv
     assert out.mu_env.head is stack
@@ -120,7 +121,7 @@ def test_stuck_reasons():
     assert step_ct(StateCT(Var(3), NIL, NIL, NIL)) == (RULE_STUCK, "unbound_var")
     assert step_ct(StateCT(Throw(0, Lam(Var(0))), NIL, NIL, NIL)) == (RULE_STUCK, "unbound_mu")
     assert step_gs(StateGS(Var(0), NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_var")
-    assert step_gs(StateGS(SetContext(0, Var(0)), NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_mu")
+    assert step_gs(StateGS(Throw(0, Var(0)), NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_mu")
     assert step_it(StateIT(Var(0), 0, NIL, NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_var")
     # vector entry resolving outside the environment is also an unbound variable
     assert step_it(StateIT(Var(0), 2, plist([1]), NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_var")
@@ -132,7 +133,7 @@ def test_initial_rejects_open_terms():
     with pytest.raises(OpenTermError):
         initial_ct(Throw(0, Lam(Var(0))))
     with pytest.raises(OpenTermError):
-        initial_gs(SetContext(0, Lam(Var(0))))
+        initial_gs(Throw(0, Lam(Var(0))))
     with pytest.raises(OpenTermError):
         initial_it(Lam(Var(1)))
 
@@ -248,14 +249,8 @@ def test_unknown_machine_rejected():
 
 
 WRONG_CALCULUS = [
-    ("ct", GetContext(Var(0)), "not a catch/throw term: GetContext(body=Var(index=0))"),
-    ("ct", SetContext(0, Var(0)), "not a catch/throw term: SetContext(label=0, body=Var(index=0))"),
     ("ct", NVar("x"), "not a catch/throw term: NVar(name='x')"),
-    ("gs", Catch(Var(0)), "not a getctx/setctx term: Catch(body=Var(index=0))"),
-    ("gs", Throw(0, Var(0)), "not a getctx/setctx term: Throw(label=0, body=Var(index=0))"),
     ("gs", NVar("x"), "not a getctx/setctx term: NVar(name='x')"),
-    ("it", Catch(Var(0)), "not a getctx/setctx term: Catch(body=Var(index=0))"),
-    ("it", Throw(0, Var(0)), "not a getctx/setctx term: Throw(label=0, body=Var(index=0))"),
     ("it", NVar("x"), "not a getctx/setctx term: NVar(name='x')"),
 ]
 
@@ -321,7 +316,7 @@ def test_run_agrees_with_its_step_function(corpus_dir):
         traced = states if halted else states[:-1]  # fuel exhaustion ends the trace without an event
         assert [e.rule for e in result.events] == rules[: len(traced)], (name, machine)
         assert [(e.head, e.stack_depth, e.mu_count) for e in result.events] == [
-            (print_term(s.term), s.stack.length, s.mu_env.length) for s in traced
+            (print_term(s.term, CALCULUS[machine]), s.stack.length, s.mu_env.length) for s in traced
         ], (name, machine)
         assert result.steps == len(states) - 1, (name, machine)
         if rule == RULE_FINAL:
@@ -375,9 +370,9 @@ def test_direct_init_rejects_fields_with_defaults():
 def test_trace_heads_printed_once_per_subterm(monkeypatch):
     printed = []
 
-    def counting_print_term(term):
+    def counting_print_term(term, calculus):
         printed.append(term)
-        return print_term(term)
+        return print_term(term, calculus)
 
     monkeypatch.setattr(machines, "print_term", counting_print_term)
     omega_ct = to_debruijn_ct(parse_ct(r"(\x. x x) (\x. x x)"))
@@ -391,5 +386,5 @@ def test_trace_heads_printed_once_per_subterm(monkeypatch):
         initial, step = MACHINES[machine]
         state = initial(term)
         for event in result.events:
-            assert event.head == print_term(state.term)
+            assert event.head == print_term(state.term, CALCULUS[machine])
             _, state = step(state)

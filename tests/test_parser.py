@@ -10,9 +10,7 @@ from coroutine_vm.parser import parse, parse_ct, parse_gs
 from coroutine_vm.terms import (
     NApp,
     NCatch,
-    NGetContext,
     NLam,
-    NSetContext,
     NThrow,
     NVar,
     print_term,
@@ -30,7 +28,7 @@ def test_capture_example_ct():
 
 def test_capture_example_gs():
     term = parse_gs(r"\x. getctx a. \y. setctx a x")
-    assert term == NLam("x", NGetContext("a", NLam("y", NSetContext("a", NVar("x")))))
+    assert term == NLam("x", NCatch("a", NLam("y", NThrow("a", NVar("x")))))
 
 
 def test_application_is_left_associative():
@@ -40,7 +38,7 @@ def test_application_is_left_associative():
 def test_prefix_bodies_extend_right():
     assert parse_ct(r"\x. x y") == NLam("x", NApp(NVar("x"), NVar("y")))
     assert parse_ct("throw a x y") == NThrow("a", NApp(NVar("x"), NVar("y")))
-    assert parse_gs(r"setctx a \y. y") == NSetContext("a", NLam("y", NVar("y")))
+    assert parse_gs(r"setctx a \y. y") == NThrow("a", NLam("y", NVar("y")))
 
 
 def test_parens_override():
@@ -89,9 +87,9 @@ def test_print_parse_round_trip_generated():
     rng = random.Random(2024)
     for _ in range(200):
         ct = gen_named_ct(rng, rng.randint(1, 25), unsafe_ok=True)
-        assert parse_ct(print_term(ct)) == ct
+        assert parse_ct(print_term(ct, "ct")) == ct
         gs = gen_named_gs(rng, rng.randint(1, 25))
-        assert parse_gs(print_term(gs)) == gs
+        assert parse_gs(print_term(gs, "gs")) == gs
 
 
 # Arbitrary ASTs (open terms, shadowing, keyword-adjacent names) must survive
@@ -99,7 +97,7 @@ def test_print_parse_round_trip_generated():
 _names = st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True).filter(
     lambda s: s not in {"catch", "throw", "getctx", "setctx"}
 )
-_ct_terms = st.recursive(
+_terms = st.recursive(
     st.builds(NVar, _names),
     lambda sub: st.one_of(
         st.builds(NApp, sub, sub),
@@ -111,6 +109,7 @@ _ct_terms = st.recursive(
 )
 
 
-@given(_ct_terms)
-def test_print_parse_round_trip_arbitrary(term):
-    assert parse_ct(print_term(term)) == term
+@pytest.mark.parametrize("calculus", ("ct", "gs"))
+@given(term=_terms)
+def test_print_parse_round_trip_arbitrary(calculus, term):
+    assert parse(print_term(term, calculus), calculus) == term

@@ -5,10 +5,10 @@ import pytest
 from coroutine_vm.errors import NotSafeError, OpenMuTermError, UnsafeLocalIndexError
 from coroutine_vm.gen import gen_ct_db, gen_gs_db
 from coroutine_vm.safety import safe_db
-from coroutine_vm.terms import App, Catch, GetContext, Lam, SetContext, Throw, Var
+from coroutine_vm.terms import App, Catch, Lam, Throw, Var
 from coroutine_vm.translate import down, lift
 
-GS_DEMO = Lam(GetContext(Lam(SetContext(0, Var(0)))))
+GS_DEMO = Lam(Catch(Lam(Throw(0, Var(0)))))
 CT_DEMO = Lam(Catch(Lam(Throw(0, Var(1)))))
 CT_UNSAFE = Lam(Catch(Lam(Throw(0, Var(0)))))
 
@@ -38,7 +38,7 @@ def test_down_local_index_out_of_range():
 
 def test_down_label_out_of_range():
     with pytest.raises(OpenMuTermError):
-        down(SetContext(0, Lam(Var(0))))
+        down(Throw(0, Lam(Var(0))))
 
 
 def test_lift_capture_demo():
@@ -82,7 +82,7 @@ def test_lift_succeeds_exactly_on_safe_terms():
 
 
 def test_structure_is_preserved():
-    term = GetContext(App(SetContext(0, Lam(Var(0))), Lam(Var(0))))
+    term = Catch(App(Throw(0, Lam(Var(0))), Lam(Var(0))))
     translated = down(term)
     assert isinstance(translated, Catch)
     assert isinstance(translated.body, App)
