@@ -280,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RecursionError:  # the traversals still recurse once per nesting level
+    except RecursionError:  # the parser and the traversals other than is_safe/use_sets still recurse
         print("error: term nested too deeply", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError:  # the reader went away; keep the flush at exit quiet

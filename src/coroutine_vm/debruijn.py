@@ -11,7 +11,7 @@ NotVisibleError rather than UnboundNameError.
 
 from __future__ import annotations
 
-from .errors import NotVisibleError, TermPath, UnboundNameError
+from .errors import NotVisibleError, PathLink, UnboundNameError, flatten_path
 from .terms import (
     App,
     Catch,
@@ -32,25 +32,25 @@ from .terms import (
 
 def to_debruijn_ct(t: NamedTermCT) -> TermCT:
     """Convert a closed named catch/throw term; indices count intervening binders."""
-    return _ct(t, (), (), ())
+    return _ct(t, (), (), None)
 
 
-def _ct(t: NamedTermCT, lams: tuple[str, ...], labels: tuple[str, ...], path: TermPath) -> TermCT:
+def _ct(t: NamedTermCT, lams: tuple[str, ...], labels: tuple[str, ...], path: PathLink) -> TermCT:
     match t:
         case NVar(name):
             if name not in lams:
-                raise UnboundNameError(name, path)
+                raise UnboundNameError(name, flatten_path(path))
             return Var(lams.index(name))
         case NApp(fn, arg):
-            return App(_ct(fn, lams, labels, path + ("fn",)), _ct(arg, lams, labels, path + ("arg",)))
+            return App(_ct(fn, lams, labels, (path, "fn")), _ct(arg, lams, labels, (path, "arg")))
         case NLam(param, body):
-            return Lam(_ct(body, (param,) + lams, labels, path + ("body",)))
+            return Lam(_ct(body, (param,) + lams, labels, (path, "body")))
         case NCatch(label, body):
-            return Catch(_ct(body, lams, (label,) + labels, path + ("body",)))
+            return Catch(_ct(body, lams, (label,) + labels, (path, "body")))
         case NThrow(label, body):
             if label not in labels:
-                raise UnboundNameError(label, path, kind="label")
-            return Throw(labels.index(label), _ct(body, lams, labels, path + ("body",)))
+                raise UnboundNameError(label, flatten_path(path), kind="label")
+            return Throw(labels.index(label), _ct(body, lams, labels, (path, "body")))
     raise TypeError(f"not a named catch/throw term: {t!r}")
 
 
@@ -60,7 +60,7 @@ def to_debruijn_gs(t: NamedTermGS) -> TermGS:
     Raises NotVisibleError when a variable is bound by an enclosing Lam but
     absent from the visible list of the coroutine where it occurs.
     """
-    return _gs(t, (), (), (), ())
+    return _gs(t, (), (), (), None)
 
 
 def _gs(
@@ -68,27 +68,27 @@ def _gs(
     visible: tuple[str, ...],
     bound: tuple[str, ...],
     snapshots: tuple[tuple[str, tuple[str, ...]], ...],
-    path: TermPath,
+    path: PathLink,
 ) -> TermGS:
     match t:
         case NVar(name):
             if name in visible:
                 return Var(visible.index(name))
             if name in bound:
-                raise NotVisibleError(name, path)
-            raise UnboundNameError(name, path)
+                raise NotVisibleError(name, flatten_path(path))
+            raise UnboundNameError(name, flatten_path(path))
         case NApp(fn, arg):
             return App(
-                _gs(fn, visible, bound, snapshots, path + ("fn",)),
-                _gs(arg, visible, bound, snapshots, path + ("arg",)),
+                _gs(fn, visible, bound, snapshots, (path, "fn")),
+                _gs(arg, visible, bound, snapshots, (path, "arg")),
             )
         case NLam(param, body):
-            return Lam(_gs(body, (param,) + visible, (param,) + bound, snapshots, path + ("body",)))
+            return Lam(_gs(body, (param,) + visible, (param,) + bound, snapshots, (path, "body")))
         case NCatch(label, body):
-            return Catch(_gs(body, visible, bound, ((label, visible),) + snapshots, path + ("body",)))
+            return Catch(_gs(body, visible, bound, ((label, visible),) + snapshots, (path, "body")))
         case NThrow(label, body):
             for index, (name, snapshot) in enumerate(snapshots):
                 if name == label:
-                    return Throw(index, _gs(body, snapshot, bound, snapshots, path + ("body",)))
-            raise UnboundNameError(label, path, kind="label")
+                    return Throw(index, _gs(body, snapshot, bound, snapshots, (path, "body")))
+            raise UnboundNameError(label, flatten_path(path), kind="label")
     raise TypeError(f"not a named getctx/setctx term: {t!r}")

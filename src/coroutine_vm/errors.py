@@ -3,11 +3,29 @@
 Scope/translation errors carry a *term path*: the tuple of child selectors
 ("fn" / "arg" / "body") leading from the root to the offending subterm, so the
 CLI can localize a failure inside a printed term.
+
+The path is built when raising. A traversal threads a PathLink, one
+(parent, selector) pair per step with None at the root, so each node costs
+one pair whatever its depth; flatten_path turns it into a TermPath at the
+raise site.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 TermPath = tuple[str, ...]
+PathLink = Optional[tuple["PathLink", str]]
+
+
+def flatten_path(link: PathLink) -> TermPath:
+    """The selectors from the root down to the node that link was made for."""
+    steps = []
+    while link is not None:
+        link, step = link
+        steps.append(step)
+    steps.reverse()
+    return tuple(steps)
 
 
 def format_path(path: TermPath) -> str:

@@ -6,7 +6,9 @@ cross-checked by the test suite:
 
   * use_sets / is_safe: synthesize, per free label, the set of variables the
     corresponding coroutine uses, then require that no Lam binder occurs in a
-    use set of a label free in its body;
+    use set of a label free in its body. One bottom-up pass over an explicit
+    stack builds each node's sets once and tests each binder on the way up,
+    so both take time linear in the term at any nesting depth;
   * safe_named: thread the visible-variable list per coroutine down
     the term and test membership at each variable;
   * safe_db: the index-form judgment over depth vectors, used by
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import OpenMuTermError, TermPath
+from .errors import OpenMuTermError, PathLink, flatten_path
 from .plist import NIL, PList
 from .terms import (
     App,
@@ -50,48 +52,83 @@ class UseSets:
 
 
 def use_sets(t: NamedTermCT) -> UseSets:
-    match t:
-        case NVar(name):
-            return UseSets(frozenset({name}), {})
-        case NApp(fn, arg):
-            left, right = use_sets(fn), use_sets(arg)
-            merged = dict(left.per_label)
-            for label, names in right.per_label.items():
-                merged[label] = merged.get(label, frozenset()) | names
-            return UseSets(left.current | right.current, merged)
-        case NLam(param, body):
-            inner = use_sets(body)
-            return UseSets(
-                inner.current - {param},
-                {label: names - {param} for label, names in inner.per_label.items()},
-            )
-        case NCatch(label, body):
-            inner = use_sets(body)
-            rest = {name: names for name, names in inner.per_label.items() if name != label}
-            return UseSets(inner.current | inner.per_label.get(label, frozenset()), rest)
-        case NThrow(label, body):
-            inner = use_sets(body)
-            out = dict(inner.per_label)
-            out[label] = inner.per_label.get(label, frozenset()) | inner.current
-            return UseSets(frozenset(), out)
-    raise TypeError(f"not a named catch/throw term: {t!r}")
+    current, per_label = _use_walk(t, check=False)
+    return UseSets(frozenset(current), {label: frozenset(names) for label, names in per_label.items()})
 
 
 def is_safe(t: NamedTermCT) -> bool:
     """True iff for every subterm \\x. u and every label free in u, x is not in u's use set for that label."""
-    match t:
-        case NVar():
-            return True
-        case NApp(fn, arg):
-            return is_safe(fn) and is_safe(arg)
-        case NLam(param, body):
-            body_uses = use_sets(body)
-            if any(param in names for names in body_uses.per_label.values()):
-                return False
-            return is_safe(body)
-        case NCatch(_, body) | NThrow(_, body):
-            return is_safe(body)
-    raise TypeError(f"not a named catch/throw term: {t!r}")
+    return _use_walk(t, check=True) is not None
+
+
+def _use_walk(t: NamedTermCT, check: bool) -> tuple[set[str], dict[str, set[str]]] | None:
+    """The use sets of t, each node's built once from its subterms' sets.
+
+    A pre-order pass lists the nodes; walking that list backwards meets every
+    node after its subterms, whose sets are then on top of `done`. Each set
+    belongs to the one node that consumes it, so it is updated in place and
+    a union pours the smaller set into the larger. With check, the walk stops
+    with None at the first NLam whose parameter is in its body's use set of
+    some label.
+    """
+    order = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        match node:
+            case NApp(fn, arg):
+                todo.append(arg)
+                todo.append(fn)
+            case NLam(_, body) | NCatch(_, body) | NThrow(_, body):
+                todo.append(body)
+            case NVar():
+                pass
+            case _:
+                raise TypeError(f"not a named catch/throw term: {node!r}")
+    done: list[tuple[set[str], dict[str, set[str]]]] = []
+    for node in reversed(order):
+        match node:
+            case NVar(name):
+                done.append(({name}, {}))
+            case NApp():
+                current, per_label = done.pop()  # fn's sets; arg's lie below
+                arg_current, arg_per_label = done[-1]
+                done[-1] = (_union(current, arg_current), _merge(per_label, arg_per_label))
+            case NLam(param, _):
+                current, per_label = done[-1]
+                if check and any(param in names for names in per_label.values()):
+                    return None
+                current.discard(param)
+                for names in per_label.values():
+                    names.discard(param)
+            case NCatch(label, _):
+                current, per_label = done[-1]
+                caught = per_label.pop(label, None)
+                if caught is not None:
+                    done[-1] = (_union(current, caught), per_label)
+            case NThrow(label, _):
+                current, per_label = done[-1]
+                target = per_label.get(label)
+                per_label[label] = current if target is None else _union(target, current)
+                done[-1] = (set(), per_label)
+    return done[0]
+
+
+def _union(a: set[str], b: set[str]) -> set[str]:
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a
+
+
+def _merge(a: dict[str, set[str]], b: dict[str, set[str]]) -> dict[str, set[str]]:
+    if len(a) < len(b):
+        a, b = b, a
+    for label, names in b.items():
+        mine = a.get(label)
+        a[label] = names if mine is None else _union(mine, names)
+    return a
 
 # ---------------------------------------------------------------------------
 # Visibility form on named terms
@@ -116,23 +153,23 @@ def safe_named(t: NamedTermCT, env: VisibleEnv | None = None) -> bool:
     works); a miss raises OpenMuTermError.
     """
     env = env or VisibleEnv()
-    return _safe_named(t, env.v, dict(env.v_mu), ())
+    return _safe_named(t, env.v, dict(env.v_mu), None)
 
 
-def _safe_named(t: NamedTermCT, v: tuple[str, ...], v_mu: dict[str, tuple[str, ...]], path: TermPath) -> bool:
+def _safe_named(t: NamedTermCT, v: tuple[str, ...], v_mu: dict[str, tuple[str, ...]], path: PathLink) -> bool:
     match t:
         case NVar(name):
             return name in v
         case NApp(fn, arg):
-            return _safe_named(fn, v, v_mu, path + ("fn",)) and _safe_named(arg, v, v_mu, path + ("arg",))
+            return _safe_named(fn, v, v_mu, (path, "fn")) and _safe_named(arg, v, v_mu, (path, "arg"))
         case NLam(param, body):
-            return _safe_named(body, (param,) + v, v_mu, path + ("body",))
+            return _safe_named(body, (param,) + v, v_mu, (path, "body"))
         case NCatch(label, body):
-            return _safe_named(body, v, {**v_mu, label: v}, path + ("body",))
+            return _safe_named(body, v, {**v_mu, label: v}, (path, "body"))
         case NThrow(label, body):
             if label not in v_mu:
-                raise OpenMuTermError(label, len(v_mu), path)
-            return _safe_named(body, v_mu[label], v_mu, path + ("body",))
+                raise OpenMuTermError(label, len(v_mu), flatten_path(path))
+            return _safe_named(body, v_mu[label], v_mu, (path, "body"))
     raise TypeError(f"not a named catch/throw term: {t!r}")
 
 # ---------------------------------------------------------------------------
@@ -149,22 +186,22 @@ def safe_db(t: TermCT, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> 
     refers to the binder at depth depth - g and is safe iff that depth is a
     member of vec.
     """
-    return _safe_db(t, depth, vec, table, ())
+    return _safe_db(t, depth, vec, table, None)
 
 
-def _safe_db(t: TermCT, depth: int, vec: PList, table: PList, path: TermPath) -> bool:
+def _safe_db(t: TermCT, depth: int, vec: PList, table: PList, path: PathLink) -> bool:
     match t:
         case Var(index):
             return (depth - index) in vec
         case App(fn, arg):
-            return _safe_db(fn, depth, vec, table, path + ("fn",)) and _safe_db(arg, depth, vec, table, path + ("arg",))
+            return _safe_db(fn, depth, vec, table, (path, "fn")) and _safe_db(arg, depth, vec, table, (path, "arg"))
         case Lam(body):
             assert not vec or depth + 1 > vec.head, "visibility vector must stay strictly decreasing"
-            return _safe_db(body, depth + 1, vec.cons(depth + 1), table, path + ("body",))
+            return _safe_db(body, depth + 1, vec.cons(depth + 1), table, (path, "body"))
         case Catch(body):
-            return _safe_db(body, depth, vec, table.cons(vec), path + ("body",))
+            return _safe_db(body, depth, vec, table.cons(vec), (path, "body"))
         case Throw(label, body):
             if label >= len(table):
-                raise OpenMuTermError(label, len(table), path)
-            return _safe_db(body, depth, table[label], table, path + ("body",))
+                raise OpenMuTermError(label, len(table), flatten_path(path))
+            return _safe_db(body, depth, table[label], table, (path, "body"))
     raise TypeError(f"not a catch/throw term: {t!r}")

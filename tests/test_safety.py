@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -7,8 +8,8 @@ from coroutine_vm.errors import OpenMuTermError
 from coroutine_vm.gen import gen_named_ct
 from coroutine_vm.parser import parse_ct
 from coroutine_vm.plist import plist
-from coroutine_vm.safety import VisibleEnv, is_safe, safe_db, safe_named, use_sets
-from coroutine_vm.terms import Catch, Lam, NLam, NThrow, NVar, Throw, Var
+from coroutine_vm.safety import UseSets, VisibleEnv, is_safe, safe_db, safe_named, use_sets
+from coroutine_vm.terms import Catch, Lam, NApp, NCatch, NLam, NThrow, NVar, Throw, Var
 
 SAFE = r"\x. catch a. \y. throw a x"
 UNSAFE = r"\x. catch a. \y. throw a y"
@@ -94,3 +95,153 @@ def test_use_sets_closed_terms_have_no_free_labels():
     for _ in range(200):
         term = gen_named_ct(rng, rng.randint(1, 25), unsafe_ok=True)
         assert use_sets(term).per_label == {}
+
+
+# ---------------------------------------------------------------------------
+# The one-pass walk against the per-binder definition
+# ---------------------------------------------------------------------------
+
+
+def spec_use_sets(t) -> UseSets:
+    """The written-out definition: each node's sets from its subterms' sets."""
+    match t:
+        case NVar(name):
+            return UseSets(frozenset({name}), {})
+        case NApp(fn, arg):
+            left, right = spec_use_sets(fn), spec_use_sets(arg)
+            merged = dict(left.per_label)
+            for label, names in right.per_label.items():
+                merged[label] = merged.get(label, frozenset()) | names
+            return UseSets(left.current | right.current, merged)
+        case NLam(param, body):
+            inner = spec_use_sets(body)
+            return UseSets(
+                inner.current - {param},
+                {label: names - {param} for label, names in inner.per_label.items()},
+            )
+        case NCatch(label, body):
+            inner = spec_use_sets(body)
+            rest = {name: names for name, names in inner.per_label.items() if name != label}
+            return UseSets(inner.current | inner.per_label.get(label, frozenset()), rest)
+        case NThrow(label, body):
+            inner = spec_use_sets(body)
+            out = dict(inner.per_label)
+            out[label] = inner.per_label.get(label, frozenset()) | inner.current
+            return UseSets(frozenset(), out)
+    raise TypeError(f"not a named catch/throw term: {t!r}")
+
+
+def spec_is_safe(t) -> bool:
+    """The written-out judgment: each binder against its body's use sets."""
+    match t:
+        case NVar():
+            return True
+        case NApp(fn, arg):
+            return spec_is_safe(fn) and spec_is_safe(arg)
+        case NLam(param, body):
+            if any(param in names for names in spec_use_sets(body).per_label.values()):
+                return False
+            return spec_is_safe(body)
+        case NCatch(_, body) | NThrow(_, body):
+            return spec_is_safe(body)
+    raise TypeError(f"not a named catch/throw term: {t!r}")
+
+
+def subterms(t):
+    yield t
+    match t:
+        case NApp(fn, arg):
+            yield from subterms(fn)
+            yield from subterms(arg)
+        case NLam(_, body) | NCatch(_, body) | NThrow(_, body):
+            yield from subterms(body)
+
+
+def assert_matches_spec(term):
+    assert use_sets(term) == spec_use_sets(term)
+    assert is_safe(term) is spec_is_safe(term)
+
+
+def test_walk_matches_spec_on_generated_terms():
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(1200):
+        term = gen_named_ct(rng, rng.randint(1, 40), unsafe_ok=True)
+        assert_matches_spec(term)
+        verdicts.add(is_safe(term))
+    assert verdicts == {True, False}
+
+
+def test_walk_matches_spec_on_open_subterms():
+    rng = random.Random(18)
+    free_labels = 0
+    for _ in range(300):
+        for sub in subterms(gen_named_ct(rng, rng.randint(5, 30), unsafe_ok=True)):
+            assert_matches_spec(sub)
+            free_labels += bool(use_sets(sub).per_label)
+    assert free_labels
+
+
+def test_walk_matches_spec_on_shadowing_and_open_labels():
+    for src in (r"\x. catch a. \x. throw a x", r"\x. \x. throw a x", r"throw a (throw b x)",
+                r"catch a. throw a (throw b (\y. throw a y))", r"(throw a x) (throw a y) (throw b z)"):
+        assert_matches_spec(parse_ct(src))
+
+
+def test_walk_matches_spec_on_corpus(corpus_dir):
+    files = sorted(corpus_dir.glob("*.ct"))
+    assert files
+    for path in files:
+        assert_matches_spec(parse_ct(path.read_text(encoding="utf-8")))
+
+
+def test_non_term_under_binder_raises_type_error():
+    for bad, text in ((NLam("x", 42), "42"), (NLam("x", NApp(NVar("x"), Var(0))), "Var(index=0)")):
+        for function in (is_safe, use_sets):
+            with pytest.raises(TypeError) as exc_info:
+                function(bad)
+            assert str(exc_info.value) == f"not a named catch/throw term: {text}"
+
+
+# ---------------------------------------------------------------------------
+# Deep and wide terms at the default recursion limit
+# ---------------------------------------------------------------------------
+
+DEEP = 100_000
+
+
+def binder_chain(n):
+    """\\x0. ... \\x(n-1). x0: safe."""
+    term = NVar("x0")
+    for i in reversed(range(n)):
+        term = NLam(f"x{i}", term)
+    return term
+
+
+def catch_chain(n):
+    """\\x0. catch k0. ... \\y. throw k0 y: the last binder's variable escapes into k0's coroutine."""
+    term = NLam("y", NThrow("k0", NVar("y")))
+    for i in reversed(range(n)):
+        term = NLam(f"x{i}", NCatch(f"k{i}", term))
+    return term
+
+
+def app_spine(n):
+    """\\x. x x ... x, n applications: safe."""
+    spine = NVar("x")
+    for _ in range(n):
+        spine = NApp(spine, NVar("x"))
+    return NLam("x", spine)
+
+
+def test_deep_and_wide_terms_at_default_recursion_limit():
+    assert sys.getrecursionlimit() < DEEP
+    chain, catches, spine = binder_chain(DEEP), catch_chain(DEEP // 2), app_spine(DEEP)
+    assert is_safe(chain) and is_safe(spine)
+    assert not is_safe(catches)
+    for term in (chain, catches, spine):
+        assert use_sets(term) == UseSets(frozenset(), {})
+    assert use_sets(spine.body) == UseSets(frozenset({"x"}), {})
+    open_label = catches.body.body  # under catch k0, so k0 is free
+    assert not is_safe(open_label)
+    assert use_sets(open_label) == UseSets(frozenset(), {"k0": frozenset()})
