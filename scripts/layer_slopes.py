@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Time each front-end and safety layer on chains of growing depth.
+
+    python3 scripts/layer_slopes.py [--repeat 7]
+
+For each layer (parse, to_debruijn_ct, to_debruijn_gs, is_safe, safe_named,
+safe_db, down, lift) and each of two safe families,
+
+    binders   \\x0. \\x1. ... \\x(n-1). x0
+    catches   \\x0. catch k0. ... \\x(n/2-1). catch k(n/2-1). throw k0 x0
+
+at n = 400, 800, 1600 and 3200, it prints the best of --repeat timings in
+microseconds per term node, and the least-squares slope of log(time) against
+log(nodes). A slope of about 1 is a layer linear in the term; about 2 is
+quadratic. Each layer's input is made outside its timing: the source text
+for parse, the named term for the conversions and the named judgments, the
+index term for safe_db and lift, the getctx/setctx index term for down.
+
+safe_db, down and lift still recurse once per nesting level, so this script
+raises the recursion limit of its own process to RECURSION_LIMIT; the other
+layers run the same at the default limit. The workbench is imported from the
+src/ directory next to this script, stdlib only otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import math
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from coroutine_vm.debruijn import to_debruijn_ct, to_debruijn_gs  # noqa: E402
+from coroutine_vm.parser import parse  # noqa: E402
+from coroutine_vm.safety import is_safe, safe_db, safe_named  # noqa: E402
+from coroutine_vm.translate import down, lift  # noqa: E402
+
+SIZES = (400, 800, 1600, 3200)
+RECURSION_LIMIT = 20_000
+
+
+def binders(n: int) -> tuple[str, int]:
+    """The text of an n-binder chain and its node count."""
+    return "".join(f"\\x{i}. " for i in range(n)) + "x0", n + 1
+
+
+def catches(n: int) -> tuple[str, int]:
+    """The text of an n/2-pair binder/catch chain and its node count."""
+    pairs = n // 2
+    return "".join(f"\\x{i}. catch k{i}. " for i in range(pairs)) + "throw k0 x0", 2 * pairs + 2
+
+
+def named(text: str):
+    return parse(text, "ct")
+
+
+# layer -> (the function timed, how its input is made from the source text)
+LAYERS = {
+    "parse": (named, str),
+    "to_debruijn_ct": (to_debruijn_ct, named),
+    "to_debruijn_gs": (to_debruijn_gs, named),
+    "is_safe": (is_safe, named),
+    "safe_named": (safe_named, named),
+    "safe_db": (safe_db, lambda text: to_debruijn_ct(named(text))),
+    "down": (down, lambda text: to_debruijn_gs(named(text))),
+    "lift": (lift, lambda text: to_debruijn_ct(named(text))),
+}
+
+
+def best_time(function, argument, repeat: int) -> float:
+    best = math.inf
+    for _ in range(repeat):
+        gc.collect()
+        start = time.perf_counter()
+        function(argument)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def slope(xs: list[float], ys: list[float]) -> float:
+    """The least-squares slope of log(ys) against log(xs)."""
+    lx, ly = [math.log(x) for x in xs], [math.log(y) for y in ys]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum((a - mx) ** 2 for a in lx)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeat", type=int, default=7, help="timings per point; the best is kept")
+    args = ap.parse_args()
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+    sys.setrecursionlimit(RECURSION_LIMIT)
+    print(f"python {sys.version.split()[0]}, best of {args.repeat}, us/node at n = {', '.join(map(str, SIZES))}")
+    print(f"{'layer':<16}{'family':<10}" + "".join(f"{n:>9}" for n in SIZES) + f"{'slope':>8}")
+    for layer, (function, make_input) in LAYERS.items():
+        for family in (binders, catches):
+            nodes, seconds = [], []
+            for n in SIZES:
+                text, count = family(n)
+                nodes.append(count)
+                seconds.append(best_time(function, make_input(text), args.repeat))
+            per_node = "".join(f"{s / c * 1e6:>9.2f}" for s, c in zip(seconds, nodes))
+            print(f"{layer:<16}{family.__name__:<10}{per_node}{slope(nodes, seconds):>8.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

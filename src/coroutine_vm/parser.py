@@ -13,11 +13,16 @@ files (terms.KEYWORDS); both parse to NCatch/NThrow.
 
 Prefix-form bodies extend maximally to the right; application binds tighter,
 so a prefix form used as a function or argument must be parenthesized.
+
+The tokenizer is one regular expression, and the parser is one loop over an
+explicit stack of open parentheses, so both take time linear in the input at
+any nesting depth. A token is a (kind, text, offset) tuple; the line and
+column of a ParseError are worked out from the offset when raising.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .errors import ParseError
 from .terms import (
@@ -34,132 +39,48 @@ from .terms import (
 
 ALL_KEYWORDS = {word for capture, restore, _, _ in KEYWORDS.values() for word in (capture, restore)}
 
+# Skip blanks and comments, then read one token: a word, a punctuation mark,
+# the end of input (""), or a character no token starts with. \w is
+# isalnum() or "_", so a word's first character is tested apart. The
+# quantifiers are possessive: a comment or a blank is never split to make a
+# token match.
+_TOKEN = re.compile(r"[ \t\r\n]*+(?:--[^\n]*+[ \t\r\n]*+)*+(\w+|[\\.()]|\Z|.)", re.S)
+_KINDS = {"\\": "lambda", ".": "dot", "(": "lparen", ")": "rparen", "": "eof"} | dict.fromkeys(ALL_KEYWORDS, "keyword")
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # "ident", "keyword", "lambda", "dot", "lparen", "rparen", "eof"
-    text: str
-    line: int
-    col: int
+
+def _error(message: str, src: str, offset: int) -> ParseError:
+    """A ParseError at offset, with its line and column.
+
+    Lines split at "\\n" only, every other character is one column, and a
+    comment takes none, so the end of input after a trailing comment is at
+    the comment's start. A "--" before offset on its line can only open a
+    comment: a lone "-" is an error the tokenizer raises where it stands.
+    """
+    start = src.rfind("\n", 0, offset) + 1
+    comment = src.find("--", start, offset)
+    if comment >= 0:
+        offset = comment
+    return ParseError(message, src.count("\n", 0, start) + 1, offset - start + 1)
 
 
-def tokenize(src: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-        elif ch == "\\":
-            tokens.append(Token("lambda", "\\", line, col))
-            i += 1
-            col += 1
-        elif ch == ".":
-            tokens.append(Token("dot", ".", line, col))
-            i += 1
-            col += 1
-        elif ch == "(":
-            tokens.append(Token("lparen", "(", line, col))
-            i += 1
-            col += 1
-        elif ch == ")":
-            tokens.append(Token("rparen", ")", line, col))
-            i += 1
-            col += 1
-        elif ch.isalpha() or ch == "_":
-            start = i
-            start_col = col
-            while i < n and (src[i].isalnum() or src[i] == "_"):
-                i += 1
-                col += 1
-            word = src[start:i]
-            kind = "keyword" if word in ALL_KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, start_col))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+def tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, ending with ("eof", "", offset).
+
+    kind is "ident", "keyword", "lambda", "dot", "lparen" or "rparen".
+    """
+    tokens = []
+    append = tokens.append
+    for m in _TOKEN.finditer(src):
+        text = m[1]
+        kind = _KINDS.get(text)
+        if kind is None:
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise _error(f"unexpected character {text[0]!r}", src, m.start(1))
+            kind = "ident"
+        append((kind, text, m.start(1)))
+        if not text:
+            break
     return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token], capture: str, restore: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.capture = capture
-        self.restore = restore
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, got {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return self.advance()
-
-    def ident(self) -> str:
-        tok = self.peek()
-        if tok.kind == "keyword":
-            raise ParseError(f"{tok.text!r} is a keyword, not an identifier", tok.line, tok.col)
-        return self.expect("ident", "an identifier").text
-
-    def term(self) -> NamedTerm:
-        tok = self.peek()
-        if tok.kind == "lambda":
-            self.advance()
-            param = self.ident()
-            self.expect("dot", "'.'")
-            return NLam(param, self.term())
-        if tok.kind == "keyword":
-            if tok.text not in (self.capture, self.restore):
-                raise ParseError(f"unknown keyword for this calculus: {tok.text!r}", tok.line, tok.col)
-            self.advance()
-            label = self.ident()
-            if tok.text == self.capture:
-                self.expect("dot", "'.'")
-                body = self.term()
-                return NCatch(label, body)
-            body = self.term()
-            return NThrow(label, body)
-        return self.app_seq()
-
-    def app_seq(self) -> NamedTerm:
-        out = self.atom()
-        while self.peek().kind in ("ident", "lparen"):
-            out = NApp(out, self.atom())
-        tok = self.peek()
-        if tok.kind == "keyword" or tok.kind == "lambda":
-            raise ParseError(
-                f"{tok.text!r} must be parenthesized here (prefix forms are not atoms)", tok.line, tok.col
-            )
-        return out
-
-    def atom(self) -> NamedTerm:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            return NVar(tok.text)
-        if tok.kind == "lparen":
-            self.advance()
-            inner = self.term()
-            self.expect("rparen", "')'")
-            return inner
-        raise ParseError(f"expected a term, got {tok.text or 'end of input'!r}", tok.line, tok.col)
 
 
 def parse_ct(src: str) -> NamedTermCT:
@@ -173,13 +94,69 @@ def parse_gs(src: str) -> NamedTermGS:
 
 
 def parse(src: str, calculus: str) -> NamedTerm:
-    """Parse source text in calculus ("ct" or "gs") into a named term."""
+    """Parse source text in calculus ("ct" or "gs") into a named term.
+
+    A term is prefix forms followed by an application of atoms. The loop
+    keeps, for the term being read, the pending prefix forms (constructor,
+    name) and the application built so far; "(" saves both on the stack and
+    ")" restores them, with the finished inner term as the next atom.
+    """
     if calculus not in KEYWORDS:
         raise ValueError(f"unknown calculus {calculus!r} (expected 'ct' or 'gs')")
     capture, restore, _, _ = KEYWORDS[calculus]
-    parser = _Parser(tokenize(src), capture, restore)
-    term = parser.term()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.line, trailing.col)
-    return term
+    tokens = tokenize(src)
+    stack: list[tuple[list, NamedTerm | None]] = []
+    prefixes: list[tuple[type, str]] = []
+    app: NamedTerm | None = None
+    i = 0
+    while True:
+        kind, text, offset = tokens[i]
+        if kind == "lambda" or kind == "keyword":
+            if kind == "lambda":
+                node = NLam
+            elif text == capture:
+                node = NCatch
+            elif text == restore:
+                node = NThrow
+            else:
+                raise _error(f"unknown keyword for this calculus: {text!r}", src, offset)
+            kind, text, offset = tokens[i + 1]
+            if kind != "ident":
+                if kind == "keyword":
+                    raise _error(f"{text!r} is a keyword, not an identifier", src, offset)
+                raise _error(f"expected an identifier, got {text or 'end of input'!r}", src, offset)
+            prefixes.append((node, text))
+            i += 2
+            if node is not NThrow:
+                kind, text, offset = tokens[i]
+                if kind != "dot":
+                    raise _error(f"expected '.', got {text or 'end of input'!r}", src, offset)
+                i += 1
+            continue
+        if kind == "lparen":
+            stack.append((prefixes, app))
+            prefixes, app = [], None
+            i += 1
+            continue
+        if kind != "ident":
+            raise _error(f"expected a term, got {text or 'end of input'!r}", src, offset)
+        value = NVar(text)
+        i += 1
+        while True:  # an atom has ended: extend the application, or end the term
+            app = value if app is None else NApp(app, value)
+            kind, text, offset = tokens[i]
+            if kind == "ident" or kind == "lparen":
+                break
+            if kind == "keyword" or kind == "lambda":
+                raise _error(f"{text!r} must be parenthesized here (prefix forms are not atoms)", src, offset)
+            value = app
+            for node, name in reversed(prefixes):
+                value = node(name, value)
+            if not stack:
+                if kind != "eof":
+                    raise _error(f"unexpected trailing input {text!r}", src, offset)
+                return value
+            if kind != "rparen":
+                raise _error(f"expected ')', got {text or 'end of input'!r}", src, offset)
+            i += 1
+            prefixes, app = stack.pop()

@@ -10,7 +10,9 @@ cross-checked by the test suite:
     stack builds each node's sets once and tests each binder on the way up,
     so both take time linear in the term at any nesting depth;
   * safe_named: thread the visible-variable list per coroutine down
-    the term and test membership at each variable;
+    the term and test membership at each variable. It walks an explicit
+    work list and the lists are linked, so a binder conses one pair and the
+    walk runs at any nesting depth;
   * safe_db: the index-form judgment over depth vectors, used by
     the translation and the machines.
 
@@ -151,26 +153,56 @@ def safe_named(t: NamedTermCT, env: VisibleEnv | None = None) -> bool:
 
     Every free label of t must be in env.v_mu (for closed terms the empty env
     works); a miss raises OpenMuTermError.
+
+    Each visit carries its visible list as a linked list (name, rest), None
+    when empty. Each label maps to the stack of its visible lists in scope:
+    a capture pushes one, and the capture node, queued under its body, pops
+    it once the body is done. Subterms are visited left to right and the
+    walk stops at the first invisible variable, so the error raised, if
+    any, is the one a recursive walk would raise.
     """
     env = env or VisibleEnv()
-    return _safe_named(t, env.v, dict(env.v_mu), None)
+    v_mu = {label: [_linked(v)] for label, v in env.v_mu.items()}
+    todo: list = [(t, _linked(env.v), None)]
+    push, pop = todo.append, todo.pop
+    while todo:
+        item = pop()
+        if type(item) is not tuple:  # a capture whose body is done
+            v_mu[item.label].pop()
+            continue
+        node, v, path = item
+        cls = type(node)
+        if cls is NVar:
+            name = node.name
+            while v is not None and v[0] != name:
+                v = v[1]
+            if v is None:
+                return False
+        elif cls is NApp:
+            push((node.arg, v, (path, "arg")))
+            push((node.fn, v, (path, "fn")))
+        elif cls is NLam:
+            push((node.body, (node.param, v), (path, "body")))
+        elif cls is NCatch:
+            v_mu.setdefault(node.label, []).append(v)
+            push(node)
+            push((node.body, v, (path, "body")))
+        elif cls is NThrow:
+            stack = v_mu.get(node.label)
+            if not stack:
+                raise OpenMuTermError(node.label, sum(1 for s in v_mu.values() if s), flatten_path(path))
+            push((node.body, stack[-1], (path, "body")))
+        else:
+            raise TypeError(f"not a named catch/throw term: {node!r}")
+    return True
 
 
-def _safe_named(t: NamedTermCT, v: tuple[str, ...], v_mu: dict[str, tuple[str, ...]], path: PathLink) -> bool:
-    match t:
-        case NVar(name):
-            return name in v
-        case NApp(fn, arg):
-            return _safe_named(fn, v, v_mu, (path, "fn")) and _safe_named(arg, v, v_mu, (path, "arg"))
-        case NLam(param, body):
-            return _safe_named(body, (param,) + v, v_mu, (path, "body"))
-        case NCatch(label, body):
-            return _safe_named(body, v, {**v_mu, label: v}, (path, "body"))
-        case NThrow(label, body):
-            if label not in v_mu:
-                raise OpenMuTermError(label, len(v_mu), flatten_path(path))
-            return _safe_named(body, v_mu[label], v_mu, (path, "body"))
-    raise TypeError(f"not a named catch/throw term: {t!r}")
+def _linked(names: tuple[str, ...]):
+    """names as a linked list (name, rest), first name first."""
+    v = None
+    for name in reversed(names):
+        v = (name, v)
+    return v
 
 # ---------------------------------------------------------------------------
 # Index form

@@ -4,12 +4,13 @@ import sys
 import pytest
 
 from coroutine_vm.debruijn import to_debruijn_ct
-from coroutine_vm.errors import OpenMuTermError
-from coroutine_vm.gen import gen_named_ct
+from coroutine_vm.errors import OpenMuTermError, flatten_path
+from coroutine_vm.gen import gen_named_ct, gen_named_gs
 from coroutine_vm.parser import parse_ct
 from coroutine_vm.plist import plist
 from coroutine_vm.safety import UseSets, VisibleEnv, is_safe, safe_db, safe_named, use_sets
 from coroutine_vm.terms import Catch, Lam, NApp, NCatch, NLam, NThrow, NVar, Throw, Var
+from named_terms import shadowed, subterms
 
 SAFE = r"\x. catch a. \y. throw a x"
 UNSAFE = r"\x. catch a. \y. throw a y"
@@ -147,16 +148,6 @@ def spec_is_safe(t) -> bool:
     raise TypeError(f"not a named catch/throw term: {t!r}")
 
 
-def subterms(t):
-    yield t
-    match t:
-        case NApp(fn, arg):
-            yield from subterms(fn)
-            yield from subterms(arg)
-        case NLam(_, body) | NCatch(_, body) | NThrow(_, body):
-            yield from subterms(body)
-
-
 def assert_matches_spec(term):
     assert use_sets(term) == spec_use_sets(term)
     assert is_safe(term) is spec_is_safe(term)
@@ -201,6 +192,80 @@ def test_non_term_under_binder_raises_type_error():
             with pytest.raises(TypeError) as exc_info:
                 function(bad)
             assert str(exc_info.value) == f"not a named catch/throw term: {text}"
+
+
+# ---------------------------------------------------------------------------
+# The work-list visibility judgment against the recursive definition
+# ---------------------------------------------------------------------------
+
+
+def spec_safe_named(t, env=None):
+    """The recursive judgment over a visible tuple and a label dict, both copied per binder."""
+    env = env or VisibleEnv()
+    return _spec_safe_named(t, env.v, dict(env.v_mu), None)
+
+
+def _spec_safe_named(t, v, v_mu, path):
+    match t:
+        case NVar(name):
+            return name in v
+        case NApp(fn, arg):
+            return _spec_safe_named(fn, v, v_mu, (path, "fn")) and _spec_safe_named(arg, v, v_mu, (path, "arg"))
+        case NLam(param, body):
+            return _spec_safe_named(body, (param,) + v, v_mu, (path, "body"))
+        case NCatch(label, body):
+            return _spec_safe_named(body, v, {**v_mu, label: v}, (path, "body"))
+        case NThrow(label, body):
+            if label not in v_mu:
+                raise OpenMuTermError(label, len(v_mu), flatten_path(path))
+            return _spec_safe_named(body, v_mu[label], v_mu, (path, "body"))
+    raise TypeError(f"not a named catch/throw term: {t!r}")
+
+
+def named_outcome(function, *args):
+    try:
+        return function(*args)
+    except OpenMuTermError as exc:
+        return (type(exc), str(exc), exc.path)
+
+
+def assert_safe_named_matches_spec(term, env=None):
+    assert named_outcome(safe_named, term, env) == named_outcome(spec_safe_named, term, env)
+
+
+def test_safe_named_matches_spec_on_generated_terms():
+    rng = random.Random(43)
+    verdicts = set()
+    for _ in range(1000):
+        for term in (gen_named_ct(rng, rng.randint(1, 40), unsafe_ok=True), gen_named_gs(rng, rng.randint(1, 40))):
+            for each in (term, shadowed(term, rng)):
+                assert_safe_named_matches_spec(each)
+                verdicts.add(safe_named(each))
+    assert verdicts == {True, False}
+
+
+def test_safe_named_matches_spec_on_open_subterms():
+    rng = random.Random(44)
+    outcomes = set()
+    env = VisibleEnv(v=("x0", "x1", "x0"), v_mu={"k0": ("x0",), "k1": ()})
+    for _ in range(300):
+        for term in (gen_named_ct(rng, rng.randint(5, 30), unsafe_ok=True), gen_named_gs(rng, rng.randint(5, 30))):
+            for sub in subterms(term):
+                assert_safe_named_matches_spec(sub)
+                assert_safe_named_matches_spec(sub, env)
+                result = named_outcome(safe_named, sub)
+                outcomes.add(result if isinstance(result, bool) else (result[0], bool(result[2])))
+    assert outcomes == {True, False, (OpenMuTermError, True), (OpenMuTermError, False)}
+
+
+def test_safe_named_matches_spec_on_shadowing_and_corpus(corpus_dir):
+    sources = [r"\x. \x. x", r"catch a. catch a. throw a x", r"\x. catch a. \x. throw a x",
+               r"\x. catch a. \y. catch a. throw a x", r"\x. catch a. \x. catch b. throw a (throw b x)"]
+    for path in sorted(corpus_dir.glob("*.ct")) + sorted(corpus_dir.glob("**/*.gs")):
+        sources.append(path.read_text(encoding="utf-8").replace("getctx", "catch").replace("setctx", "throw"))
+    for src in sources:
+        assert_safe_named_matches_spec(parse_ct(src))
+    assert safe_named(parse_ct(r"\x. catch a. \x. throw a x"))
 
 
 # ---------------------------------------------------------------------------
