@@ -41,10 +41,10 @@ ALL_KEYWORDS = {word for capture, restore, _, _ in KEYWORDS.values() for word in
 
 # Skip blanks and comments, then read one token: a word, a punctuation mark,
 # the end of input (""), or a character no token starts with. \w is
-# isalnum() or "_", so a word's first character is tested apart. The
-# quantifiers are possessive: a comment or a blank is never split to make a
-# token match.
-_TOKEN = re.compile(r"[ \t\r\n]*+(?:--[^\n]*+[ \t\r\n]*+)*+(\w+|[\\.()]|\Z|.)", re.S)
+# isalnum() or "_", so a word's first character is tested apart. The token
+# group matches after any skip (\Z at the end, "." with re.S elsewhere), so
+# the greedy skip is never given back: a comment or a blank is never split.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*(\w+|[\\.()]|\Z|.)", re.S)
 _KINDS = {"\\": "lambda", ".": "dot", "(": "lparen", ")": "rparen", "": "eof"} | dict.fromkeys(ALL_KEYWORDS, "keyword")
 
 

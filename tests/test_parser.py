@@ -312,12 +312,32 @@ def spine(term, node_classes, attr):
     return count, term
 
 
+def same_term(a, b):
+    """a == b without recursion: the dataclass == recurses once per level."""
+    pairs = [(a, b)]
+    while pairs:
+        a, b = pairs.pop()
+        if type(a) is not type(b):
+            return False
+        for field in a.__slots__:
+            x, y = getattr(a, field), getattr(b, field)
+            if isinstance(x, str):
+                if x != y:
+                    return False
+            else:
+                pairs.append((x, y))
+    return True
+
+
 def test_front_end_on_deep_inputs_at_default_recursion_limit():
     assert sys.getrecursionlimit() < DEEP
-    named = {}
+    parsed = {}
     for calculus in ("ct", "gs"):
         for name, text in deep_texts(calculus).items():
-            named[name] = parse(text, calculus)
+            parsed[calculus, name] = parse(text, calculus)
+    named = {name: parsed["gs", name] for name in deep_texts("gs")}
+    for name, term in named.items():
+        assert same_term(parsed["ct", name], term), name
     assert spine(named["binders"], NLam, "body") == (DEEP, NVar("x0"))
     assert spine(named["captures"], (NLam, NCatch), "body") == (DEEP, NThrow("k0", NVar("x0")))
     assert named["parens"] == NLam("x", NVar("x"))
