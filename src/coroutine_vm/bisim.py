@@ -26,7 +26,9 @@ lockstep steps the machines together, checks the relations at every step
 and stops at the first failure; it keeps no past states. Consecutive states
 share almost all structure, so one memo of proven pairs, keyed by object
 identity and pinning both sides, leaves a step only its new structure to
-check. The memo keeps two generations: every _MEMO_GENERATION steps the
+check. Each field's key is built once, where the field is read, so a field
+already proven costs one probe; only a pair not yet proven goes on the work
+list. The memo keeps two generations: every _MEMO_GENERATION steps the
 young one becomes the old one and the old one is dropped, and a hit in the
 old one is promoted. That bounds memory; a pair that aged out is only
 checked again.
@@ -71,9 +73,9 @@ class RelationMemo:
     """Pairs already proven related, keyed by (kind, id, id, ...).
 
     Each entry pins the objects its ids name, so an id stays valid while its
-    key is held. A pair is recorded when it is first visited, before its
+    key is held. A pair is recorded when it is first probed, before its
     parts are checked, so a memo may be reused only while every check that
-    used it has returned True.
+    used it has returned True. Two empty lists are related without a key.
     """
 
     __slots__ = ("young", "old")
@@ -98,8 +100,12 @@ class RelationMemo:
 # The relations
 # ---------------------------------------------------------------------------
 
-# Work items are (kind, it side, other side, context...). A list kind relates
-# two lists pointwise by its element kind.
+# A pair of fields is probed where it is read: its memo key is built there,
+# once, and a proven pair costs that one dict probe. A pair not yet proven is
+# recorded and becomes a work item (kind, it side, other side, context...),
+# which also pins it. A list kind relates two lists pointwise by its element
+# kind: the walk records each further pair of cells and stops at the first
+# one already proven.
 _STAR_CLOSURE, _STAR_ENV, _STAR_LABELS, _STAR_TERM = range(4)
 _DIAMOND_CLOSURE, _DIAMOND_ENV, _DIAMOND_LABELS, _DIAMOND_LOCAL, _DIAMOND_TABLE = range(4, 9)
 _ELEMENT = {
@@ -117,8 +123,12 @@ def R_star(it: StateIT | ClosureIT, ct: StateCT | ClosureCT, memo: RelationMemo 
         return False
     todo: list[tuple] = []
     if type(it) is StateIT:
-        todo.append((_STAR_ENV, it.stack, ct.stack))
-    return _star_fields(it, ct, todo, memo) and _prove(todo, memo)
+        x, y = it.stack, ct.stack
+        if x is not NIL or y is not NIL:
+            key = (_STAR_ENV, id(x), id(y))
+            if key not in memo.young and memo.first_visit(key, item := (_STAR_ENV, x, y)):
+                todo.append(item)
+    return _star_fields(it, ct, todo, memo) and (not todo or _prove(todo, memo))
 
 
 def R_diamond(it: StateIT | ClosureIT, gs: StateGS | ClosureGS, memo: RelationMemo | None = None) -> bool:
@@ -128,73 +138,114 @@ def R_diamond(it: StateIT | ClosureIT, gs: StateGS | ClosureGS, memo: RelationMe
         return False
     todo: list[tuple] = []
     if type(it) is StateIT:
-        todo.append((_DIAMOND_ENV, it.stack, gs.stack))
-    return _diamond_fields(it, gs, todo) and _prove(todo, memo)
+        x, y = it.stack, gs.stack
+        if x is not NIL or y is not NIL:
+            key = (_DIAMOND_ENV, id(x), id(y))
+            if key not in memo.young and memo.first_visit(key, item := (_DIAMOND_ENV, x, y)):
+                todo.append(item)
+    return _diamond_fields(it, gs, todo, memo) and (not todo or _prove(todo, memo))
 
 
 def _star_fields(x, y, todo: list, memo: RelationMemo) -> bool:
-    todo.append((_STAR_ENV, x.env, y.env))
-    todo.append((_STAR_LABELS, x.mu_env, y.mu_env))
-    return _star_term(x.term, y.term, x.depth, x.vec, x.table, memo)
+    """Probe the environment, label and term pairs of x and y; queue the new ones."""
+    young, first_visit = memo.young, memo.first_visit
+    a, b = x.env, y.env
+    if a is not NIL or b is not NIL:
+        key = (_STAR_ENV, id(a), id(b))
+        if key not in young and first_visit(key, item := (_STAR_ENV, a, b)):
+            todo.append(item)
+    a, b = x.mu_env, y.mu_env
+    if a is not NIL or b is not NIL:
+        key = (_STAR_LABELS, id(a), id(b))
+        if key not in young and first_visit(key, item := (_STAR_LABELS, a, b)):
+            todo.append(item)
+    a, b, depth, vec, table = x.term, y.term, x.depth, x.vec, x.table
+    key = (_STAR_TERM, id(a), id(b), depth, id(vec), id(table))
+    return key in young or not first_visit(key, (a, b, vec, table)) or _star_term(a, b, depth, vec, table)
 
 
-def _diamond_fields(x, y, todo: list) -> bool:
-    todo.append((_DIAMOND_LOCAL, x.vec, y.lenv, x.depth, x.env))
-    todo.append((_DIAMOND_TABLE, x.table, y.lenv_mu, x.depth, x.env))
-    todo.append((_DIAMOND_LABELS, x.mu_env, y.mu_env))
+def _diamond_fields(x, y, todo: list, memo: RelationMemo) -> bool:
+    """Probe the local environment, label and stack pairs of x and y; queue the new ones."""
+    young, first_visit = memo.young, memo.first_visit
+    depth, env = x.depth, x.env
+    a, b = x.vec, y.lenv
+    if a is not NIL or b is not NIL:
+        key = (_DIAMOND_LOCAL, id(a), id(b), depth, id(env))
+        if key not in young and first_visit(key, item := (_DIAMOND_LOCAL, a, b, depth, env)):
+            todo.append(item)
+    a, b = x.table, y.lenv_mu
+    if a is not NIL or b is not NIL:
+        key = (_DIAMOND_TABLE, id(a), id(b), depth, id(env))
+        if key not in young and first_visit(key, item := (_DIAMOND_TABLE, a, b, depth, env)):
+            todo.append(item)
+    a, b = x.mu_env, y.mu_env
+    if a is not NIL or b is not NIL:
+        key = (_DIAMOND_LABELS, id(a), id(b))
+        if key not in young and first_visit(key, item := (_DIAMOND_LABELS, a, b)):
+            todo.append(item)
     return x.term is y.term or _same_term(x.term, y.term)
 
 
 def _prove(todo: list, memo: RelationMemo) -> bool:
-    """Check every work item; True iff all of them hold."""
-    first_visit = memo.first_visit
-    push = todo.append
+    """Check every work item, each a recorded pair; True iff all of them hold."""
+    young, first_visit, push = memo.young, memo.first_visit, todo.append
     while todo:
         item = todo.pop()
         kind, x, y = item[0], item[1], item[2]
-        element = _ELEMENT.get(kind)
-        if element is not None:
-            if type(y) is not PList or x.length != y.length:
+        if kind == _STAR_CLOSURE:
+            if type(y) is not ClosureCT or not _star_fields(x, y, todo, memo):
                 return False
-            while x is not NIL and first_visit((kind, id(x), id(y)), (x, y)):
-                push((element, x.head, y.head))
+            continue
+        if kind == _DIAMOND_CLOSURE:
+            if type(y) is not ClosureGS or not _diamond_fields(x, y, todo, memo):
+                return False
+            continue
+        if type(y) is not PList or x.length != y.length:
+            return False
+        if kind < _DIAMOND_LOCAL:
+            element = _ELEMENT[kind]
+            while x is not NIL:
+                a, b = x.head, y.head
+                if a is not NIL or b is not NIL:
+                    key = (element, id(a), id(b))
+                    if key not in young and first_visit(key, item := (element, a, b)):
+                        push(item)
                 x, y = x.tail, y.tail
-        elif kind == _STAR_CLOSURE:
-            if type(y) is not ClosureCT:
-                return False
-            if first_visit((kind, id(x), id(y)), (x, y)) and not _star_fields(x, y, todo, memo):
-                return False
-        elif kind == _DIAMOND_CLOSURE:
-            if type(y) is not ClosureGS:
-                return False
-            if first_visit((kind, id(x), id(y)), (x, y)) and not _diamond_fields(x, y, todo):
-                return False
-        elif kind == _DIAMOND_LOCAL:
-            # x is a vector that selects the local environment y from the
-            # global environment env at depth.
-            depth, env = item[3], item[4]
-            if type(y) is not PList or y.length != x.length:
-                return False
-            while x is not NIL and first_visit((kind, id(x), id(y), depth, id(env)), (x, y, env)):
-                selected = depth - x.head
+                if x is NIL:
+                    break
+                key = (kind, id(x), id(y))
+                if key in young or not first_visit(key, (x, y)):
+                    break
+            continue
+        # _DIAMOND_LOCAL: x a vector that selects the local environment y
+        # from the global environment env at depth; _DIAMOND_TABLE: x a
+        # table of vectors, y the local environments they select.
+        depth, env = item[3], item[4]
+        while x is not NIL:
+            a, b = x.head, y.head
+            if kind == _DIAMOND_LOCAL:
+                selected = depth - a
                 if not 0 <= selected < env.length:
                     return False
-                push((_DIAMOND_CLOSURE, env[selected], y.head))
-                x, y = x.tail, y.tail
-        else:  # _DIAMOND_TABLE: x a table of vectors, y the local environments they select
-            depth, env = item[3], item[4]
-            if type(y) is not PList or y.length != x.length:
-                return False
-            while x is not NIL and first_visit((kind, id(x), id(y), depth, id(env)), (x, y, env)):
-                push((_DIAMOND_LOCAL, x.head, y.head, depth, env))
-                x, y = x.tail, y.tail
+                a = env[selected]
+                key = (_DIAMOND_CLOSURE, id(a), id(b))
+                if key not in young and first_visit(key, item := (_DIAMOND_CLOSURE, a, b)):
+                    push(item)
+            elif a is not NIL or b is not NIL:
+                key = (_DIAMOND_LOCAL, id(a), id(b), depth, id(env))
+                if key not in young and first_visit(key, item := (_DIAMOND_LOCAL, a, b, depth, env)):
+                    push(item)
+            x, y = x.tail, y.tail
+            if x is NIL:
+                break
+            key = (kind, id(x), id(y), depth, id(env))
+            if key in young or not first_visit(key, (x, y, env)):
+                break
     return True
 
 
-def _star_term(x, y, depth: int, vec: PList, table: PList, memo: RelationMemo) -> bool:
+def _star_term(x, y, depth: int, vec: PList, table: PList) -> bool:
     """Is the ct term y down of the it term x at depth/vec/table?"""
-    if not memo.first_visit((_STAR_TERM, id(x), id(y), depth, id(vec), id(table)), (x, y, vec, table)):
-        return True
     todo = [(x, y, depth, vec, table)]
     while todo:
         x, y, depth, vec, table = todo.pop()
@@ -286,13 +337,7 @@ def describe_state(s: State) -> str:
 
 
 _HALTS = (RULE_FINAL, RULE_STUCK)
-
-
-def _run_end(rule: str, i: int, fuel: int) -> str:
-    """How a run stands once its state at step i has taken rule."""
-    if rule in _HALTS:
-        return rule
-    return "fuel" if i >= fuel else "running"
+_ABSENT = (None,)  # the one "rule" of an absent partner
 
 
 def lockstep(t: TermGS, pair: str = "composed", max_steps: int | None = None) -> LockstepReport:
@@ -312,59 +357,87 @@ def lockstep(t: TermGS, pair: str = "composed", max_steps: int | None = None) ->
         raise ValueError(f"unknown pair {pair!r} (expected one of {PAIRS})")
     fuel = resolve_max_steps(max_steps)
     memo = RelationMemo()
-
-    it_initial = initial_it(t)  # rejects open terms before down sees them
-    partners = []  # (name, step function, relation to an it state)
-    states = []  # the partners' current states, then the it machine's
-    if pair in ("star", "composed"):
-        partners.append(("ct", step_ct, R_star))
-        states.append(initial_ct(down(t)))
-    if pair in ("diamond", "composed"):
-        partners.append(("gs", step_gs, R_diamond))
-        states.append(initial_gs(t))
-    states.append(it_initial)
-    names = [name for name, _, _ in partners] + ["it"]
+    it = initial_it(t)  # rejects open terms before down sees them
+    ct = None if pair == "diamond" else initial_ct(down(t))  # None: not in the pair
+    gs = None if pair == "star" else initial_gs(t)
+    ct_rule = gs_rule = ct_next = gs_next = None  # an absent partner stays None
 
     i = 0
     while True:
         if i % _MEMO_GENERATION == 0:
             memo.age()
-        it_state = states[-1]
-        for (name, _, related), state in zip(partners, states):
-            if not related(it_state, state, memo):
-                detail = f"it-state image differs from {name} state at step {i}"
-                return _diverged(pair, i, describe_state(it_state), describe_state(state), detail)
-        applicable = []
-        for state in states:
-            rules = applicable_rules(state)
-            if len(rules) != 1:
-                detail = "rule dispatch was not deterministic"
-                return _diverged(pair, i, describe_state(state), f"{len(rules)} rules apply", detail)
-            applicable.append(rules[0])
+        if ct is not None and not R_star(it, ct, memo):
+            return _image_differs(pair, i, it, ct, "ct")
+        if gs is not None and not R_diamond(it, gs, memo):
+            return _image_differs(pair, i, it, gs, "gs")
+        ct_rules = _ABSENT if ct is None else applicable_rules(ct)
+        gs_rules = _ABSENT if gs is None else applicable_rules(gs)
+        it_rules = applicable_rules(it)
+        if len(ct_rules) != 1 or len(gs_rules) != 1 or len(it_rules) != 1:
+            return _not_one_rule(pair, i, ((ct, ct_rules), (gs, gs_rules), (it, it_rules)))
 
-        stepped = states[:]
-        it_rule, states[-1] = step_it(it_state)
-        taken = []
-        for k, (name, step, _) in enumerate(partners):
-            rule, states[k] = step(states[k])
-            taken.append(rule)
-            if rule != it_rule and (rule in _HALTS or it_rule in _HALTS):
-                left = f"it run: {_run_end(it_rule, i, fuel)} after {i} steps"
-                right = f"{name} run: {_run_end(rule, i, fuel)} after {i} steps"
-                return _diverged(pair, i, left, right, "runs did not end the same way at the same step")
-            if rule == RULE_STUCK:
-                left, right = f"it run: stuck ({states[-1]})", f"{name} run: stuck ({states[k]})"
-                return _diverged(pair, i, left, right, "both machines got stuck (input was not well-scoped)")
-        taken.append(it_rule)
-        for name, rule, expected, state in zip(names, taken, applicable, stepped):
-            if rule != expected:
-                detail = f"{name} step returned rule {rule} where rule {expected} applies at step {i}"
-                return _diverged(pair, i, describe_state(state), f"{name} step: {rule}", detail)
+        it_rule, it_next = step_it(it)
+        if ct is not None:
+            ct_rule, ct_next = step_ct(ct)
+        if gs is not None:
+            gs_rule, gs_next = step_gs(gs)
+        # Unless a run ends or a step returned a rule other than the one
+        # that applies, every run goes on: nothing more to check.
+        if (it_rule in _HALTS or ct_rule in _HALTS or gs_rule in _HALTS
+                or ct_rule != ct_rules[0] or gs_rule != gs_rules[0] or it_rule != it_rules[0]):
+            report = _step_failure(pair, i, fuel, (
+                ("ct", ct, ct_rules, ct_rule, ct_next),
+                ("gs", gs, gs_rules, gs_rule, gs_next),
+                ("it", it, it_rules, it_rule, it_next),
+            ))
+            if report is not None:
+                return report
         if it_rule == RULE_FINAL:
             return LockstepReport(pair, i, "both_halted")
         if i >= fuel:
             return LockstepReport(pair, i, "fuel_exhausted")
         i += 1
+        it, ct, gs = it_next, ct_next, gs_next
+
+
+def _image_differs(pair: str, i: int, it: StateIT, state: State, name: str) -> LockstepReport:
+    detail = f"it-state image differs from {name} state at step {i}"
+    return _diverged(pair, i, describe_state(it), describe_state(state), detail)
+
+
+def _not_one_rule(pair: str, i: int, candidates: tuple) -> LockstepReport:
+    """The first (state, its applicable rules) pair without exactly one rule."""
+    state, rules = next((state, rules) for state, rules in candidates if len(rules) != 1)
+    return _diverged(pair, i, describe_state(state), f"{len(rules)} rules apply", "rule dispatch was not deterministic")
+
+
+def _step_failure(pair: str, i: int, fuel: int, steps: tuple) -> LockstepReport | None:
+    """The first failure among one step's (machine, state, applicable rules,
+    rule returned, successor) records, partners first and the it machine
+    last; None when the runs go on or all end the same way."""
+    _, _, _, it_rule, it_next = steps[-1]
+    for name, state, _, rule, successor in steps[:-1]:
+        if state is None:
+            continue
+        if rule != it_rule and (rule in _HALTS or it_rule in _HALTS):
+            left = f"it run: {_run_end(it_rule, i, fuel)} after {i} steps"
+            right = f"{name} run: {_run_end(rule, i, fuel)} after {i} steps"
+            return _diverged(pair, i, left, right, "runs did not end the same way at the same step")
+        if rule == RULE_STUCK:
+            left, right = f"it run: stuck ({it_next})", f"{name} run: stuck ({successor})"
+            return _diverged(pair, i, left, right, "both machines got stuck (input was not well-scoped)")
+    for name, state, rules, rule, _ in steps:
+        if rule != rules[0]:
+            detail = f"{name} step returned rule {rule} where rule {rules[0]} applies at step {i}"
+            return _diverged(pair, i, describe_state(state), f"{name} step: {rule}", detail)
+    return None
+
+
+def _run_end(rule: str, i: int, fuel: int) -> str:
+    """How a run stands once its state at step i has taken rule."""
+    if rule in _HALTS:
+        return rule
+    return "fuel" if i >= fuel else "running"
 
 
 def _diverged(pair: str, i: int, left: str, right: str, detail: str) -> LockstepReport:

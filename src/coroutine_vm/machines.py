@@ -385,22 +385,27 @@ def applicable_rules(s: State) -> list[str]:
     Written as independent guard checks (not a table lookup) so the
     determinism property "exactly one rule applies in every reachable state"
     is tested against something other than the rule tables' own dispatch.
+    The term's class is tested first: no class can be two term classes at
+    once (their slot layouts conflict), so only that class's guards can
+    hold, and both guards of an abstraction are evaluated.
     """
-    rules = []
     term = s.term
-    if isinstance(term, Var) and _var_guard(s):
-        rules.append(RULE_VAR)
+    if isinstance(term, Var):
+        return [RULE_VAR] if _var_guard(s) else []
     if isinstance(term, App):
-        rules.append(RULE_APP)
-    if isinstance(term, Lam) and s.stack is not NIL:
-        rules.append(RULE_LAM)
-    if isinstance(term, Lam) and s.stack is NIL:
-        rules.append(RULE_FINAL)
+        return [RULE_APP]
+    if isinstance(term, Lam):
+        rules = []
+        if s.stack is not NIL:
+            rules.append(RULE_LAM)
+        if s.stack is NIL:
+            rules.append(RULE_FINAL)
+        return rules
     if isinstance(term, Catch):
-        rules.append(RULE_CAPTURE)
+        return [RULE_CAPTURE]
     if isinstance(term, Throw) and _restore_guard(s):
-        rules.append(RULE_RESTORE)
-    return rules
+        return [RULE_RESTORE]
+    return []
 
 # ---------------------------------------------------------------------------
 # Runner

@@ -18,6 +18,8 @@ from coroutine_vm.machines import (
     ClosureIT,
     StateCT,
     StateGS,
+    StateIT,
+    applicable_rules,
     initial_ct,
     initial_gs,
     initial_it,
@@ -185,6 +187,20 @@ def test_diamond_carries_term_unchanged():
     assert down(shifted) == Lam(Catch(Lam(Throw(0, Var(1))))) != shifted
     assert R_diamond(_it(shifted), ClosureGS(shifted, NIL, NIL, NIL))
     assert not R_diamond(_it(shifted), ClosureGS(down(shifted), NIL, NIL, NIL))
+
+
+def test_diamond_rejects_an_extra_label_environment():
+    # one lenv_mu entry per table vector: an extra local environment, with
+    # the label stacks left as they are, is not related, before a getctx
+    # (empty table) and after one
+    it_states = _trace(initial_it(GS_DEMO), step_it)
+    gs_states = _trace(initial_gs(GS_DEMO), step_gs)
+    for k in (0, 1):  # state 1 is the one the getctx made
+        it_s, gs_s = it_states[k], gs_states[k]
+        assert len(it_s.table) == len(gs_s.lenv_mu) == len(gs_s.mu_env) == k
+        assert R_diamond(it_s, gs_s)
+        assert not R_diamond(it_s, replace(gs_s, lenv_mu=gs_s.lenv_mu.cons(NIL)))
+        assert not R_diamond(it_s, replace(gs_s, lenv_mu=gs_s.lenv_mu.cons(gs_s.lenv)))
 
 
 def test_state_maps_are_functional():
@@ -391,6 +407,33 @@ def test_lockstep_checks_the_rule_each_step_returns(monkeypatch, machine, pair):
     assert (report.left, report.right) == (bisim.describe_state(state), f"{machine} step: app")
 
 
+@pytest.mark.parametrize("machine, found", [("ct", 2), ("gs", 0), ("it", 2)])
+def test_lockstep_requires_exactly_one_applicable_rule(monkeypatch, machine, found):
+    # the oracle finds a second rule, or none, for the machine's state at step 4
+    state_type = {"ct": StateCT, "gs": StateGS, "it": StateIT}[machine]
+    calls = {"n": 0}
+
+    def oracle(state):
+        rules = applicable_rules(state)
+        if type(state) is state_type:
+            calls["n"] += 1
+            if calls["n"] == 5:
+                return (rules + [RULE_STUCK])[:found]
+        return rules
+
+    monkeypatch.setattr(bisim, "applicable_rules", oracle)
+    report = lockstep(OMEGA, "composed", 50)
+    assert report.outcome == "diverged"
+    assert report.diverged_at == report.steps_checked == 4
+    assert report.detail == "rule dispatch was not deterministic"
+    assert report.right == f"{found} rules apply"
+    state = {"ct": initial_ct(down(OMEGA)), "gs": initial_gs(OMEGA), "it": initial_it(OMEGA)}[machine]
+    step = {"ct": step_ct, "gs": step_gs, "it": step_it}[machine]
+    for _ in range(4):
+        state = step(state)[1]
+    assert report.left == bisim.describe_state(state)
+
+
 _EXTRA = {"ct": ClosureCT(IDENT, NIL, NIL), "gs": ClosureGS(IDENT, NIL, NIL, NIL), "it": ClosureIT(IDENT, 0, NIL, NIL, NIL, NIL)}
 
 
@@ -431,6 +474,22 @@ def test_lockstep_reports_the_faulted_step(monkeypatch, machine, field, pair, pa
         states.append(step_it(states[-1])[1])
     it_state = fault(None, states[6])[1] if machine == "it" else states[6]
     assert report.left == bisim.describe_state(it_state)
+
+
+@pytest.mark.parametrize(
+    "machine, field, pair, partner",
+    [("ct", "env", "star", "ct"), ("gs", "lenv", "diamond", "gs"), ("it", "env", "composed", "ct")],
+)
+def test_memo_aging_hides_no_fault(monkeypatch, machine, field, pair, partner):
+    # Eight steps per generation: the memo ages at steps 0, 8, 16 and 24, so
+    # step 30 reads many pairs from the old generation and promotes them.
+    monkeypatch.setattr(bisim, "_MEMO_GENERATION", 8)
+    genuine = {"ct": step_ct, "gs": step_gs, "it": step_it}[machine]
+    monkeypatch.setattr(bisim, f"step_{machine}", _fault_at_call(genuine, 30, _field_fault(machine, field)))
+    report = lockstep(PING_PONG, pair, 50)
+    assert report.outcome == "diverged"
+    assert report.diverged_at == report.steps_checked == 30
+    assert report.detail == f"it-state image differs from {partner} state at step 30"
 
 
 def test_lockstep_leaves_the_recursion_limit_alone():

@@ -138,6 +138,15 @@ def test_initial_rejects_open_terms():
         initial_it(Lam(Var(1)))
 
 
+def test_initial_ct_rejects_a_variable_out_of_range_under_a_binder():
+    # under one binder only variable 0 is in range, and under one catch only label 0
+    initial_ct(Lam(Var(0)))
+    with pytest.raises(OpenTermError):
+        initial_ct(Lam(Var(1)))
+    with pytest.raises(OpenTermError):
+        initial_ct(Lam(Catch(Throw(1, Var(0)))))
+
+
 def test_run_counts_transitions():
     assert run(CT_DEMO, "ct", max_steps=100).steps == 2
     assert run(GS_DEMO, "gs", max_steps=100).steps == 2

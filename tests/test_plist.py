@@ -1,8 +1,11 @@
+import signal
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from coroutine_vm.plist import NIL, plist
+from conftest import TEST_TIME_LIMIT
 
 
 def test_nil_is_empty():
@@ -33,6 +36,8 @@ def test_indexing_errors():
         l[2]
     with pytest.raises(IndexError):
         l[-1]
+    with pytest.raises(TypeError):
+        l[0.5]  # would walk past NIL, whose tail is NIL, for ever
 
 
 def test_equality_is_structural():
@@ -58,7 +63,23 @@ def test_round_trip(xs):
     assert len(plist(xs)) == plist(xs).length == len(xs)
 
 
+def test_indexing_reaches_every_position():
+    xs = list(range(41))
+    assert [plist(xs)[i] for i in xs] == xs
+
+
 @given(st.lists(st.integers(), min_size=1), st.data())
 def test_indexing_matches_list(xs, data):
     i = data.draw(st.integers(min_value=0, max_value=len(xs) - 1))
     assert plist(xs)[i] == xs[i]
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_a_test_that_never_ends_fails_at_the_time_limit():
+    # conftest arms a timer for every test; cut it short and loop for ever
+    assert 0 < signal.getitimer(signal.ITIMER_REAL)[0] <= TEST_TIME_LIMIT
+    signal.setitimer(signal.ITIMER_REAL, 0.05)
+    node = plist([1])
+    with pytest.raises(pytest.fail.Exception, match="time limit"):
+        while node is not None:  # NIL.tail is NIL: never None
+            node = node.tail
