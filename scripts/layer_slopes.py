@@ -3,8 +3,9 @@
 
     python3 scripts/layer_slopes.py [--repeat 7]
 
-For each layer (parse, to_debruijn_ct, to_debruijn_gs, is_safe, safe_named,
-safe_db, down, lift) and each of two safe families,
+For each layer (parse, print_term, to_debruijn_ct, to_debruijn_gs, is_safe,
+safe_named, safe_db, is_closed_ct, is_scoped_gs, down, lift) and each of two
+safe families,
 
     binders   \\x0. \\x1. ... \\x(n-1). x0
     catches   \\x0. catch k0. ... \\x(n/2-1). catch k(n/2-1). throw k0 x0
@@ -13,13 +14,12 @@ at n = 400, 800, 1600 and 3200, it prints the best of --repeat timings in
 microseconds per term node, and the least-squares slope of log(time) against
 log(nodes). A slope of about 1 is a layer linear in the term; about 2 is
 quadratic. Each layer's input is made outside its timing: the source text
-for parse, the named term for the conversions and the named judgments, the
-index term for safe_db and lift, the getctx/setctx index term for down.
+for parse, the named term for print_term, the conversions and the named
+judgments, the catch/throw index term for safe_db, is_closed_ct and lift,
+the getctx/setctx index term for is_scoped_gs and down.
 
-safe_db, down and lift still recurse once per nesting level, so this script
-raises the recursion limit of its own process to RECURSION_LIMIT; the other
-layers run the same at the default limit. The workbench is imported from the
-src/ directory next to this script, stdlib only otherwise.
+Every layer runs at the default recursion limit. The workbench is imported
+from the src/ directory next to this script, stdlib only otherwise.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from coroutine_vm.debruijn import to_debruijn_ct, to_debruijn_gs  # noqa: E402
 from coroutine_vm.parser import parse  # noqa: E402
 from coroutine_vm.safety import is_safe, safe_db, safe_named  # noqa: E402
+from coroutine_vm.terms import is_closed_ct, is_scoped_gs, print_term  # noqa: E402
 from coroutine_vm.translate import down, lift  # noqa: E402
 
 SIZES = (400, 800, 1600, 3200)
-RECURSION_LIMIT = 20_000
 
 
 def binders(n: int) -> tuple[str, int]:
@@ -57,16 +57,27 @@ def named(text: str):
     return parse(text, "ct")
 
 
+def index_ct(text: str):
+    return to_debruijn_ct(named(text))
+
+
+def index_gs(text: str):
+    return to_debruijn_gs(named(text))
+
+
 # layer -> (the function timed, how its input is made from the source text)
 LAYERS = {
     "parse": (named, str),
+    "print_term": (lambda term: print_term(term, "ct"), named),
     "to_debruijn_ct": (to_debruijn_ct, named),
     "to_debruijn_gs": (to_debruijn_gs, named),
     "is_safe": (is_safe, named),
     "safe_named": (safe_named, named),
-    "safe_db": (safe_db, lambda text: to_debruijn_ct(named(text))),
-    "down": (down, lambda text: to_debruijn_gs(named(text))),
-    "lift": (lift, lambda text: to_debruijn_ct(named(text))),
+    "safe_db": (safe_db, index_ct),
+    "is_closed_ct": (is_closed_ct, index_ct),
+    "is_scoped_gs": (is_scoped_gs, index_gs),
+    "down": (down, index_gs),
+    "lift": (lift, index_ct),
 }
 
 
@@ -93,7 +104,6 @@ def main() -> int:
     args = ap.parse_args()
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
-    sys.setrecursionlimit(RECURSION_LIMIT)
     print(f"python {sys.version.split()[0]}, best of {args.repeat}, us/node at n = {', '.join(map(str, SIZES))}")
     print(f"{'layer':<16}{'family':<10}" + "".join(f"{n:>9}" for n in SIZES) + f"{'slope':>8}")
     for layer, (function, make_input) in LAYERS.items():

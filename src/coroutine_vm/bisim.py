@@ -13,7 +13,9 @@ closures) to those of the other machines:
   * R_diamond(c, g) relates an it state c to a gs state g. The terms are
     the same object or structurally equal. g.lenv has one entry per entry k
     of vec, related to the global closure env[depth - k]; g.lenv_mu has one
-    local environment per table vector, selected the same way. The label
+    local environment per table vector, selected the same way. A vector
+    must not increase from one entry to the next (the it machine's vectors
+    strictly decrease); one that does is not related. The label
     stacks and the stack are related pointwise.
 
 Both relations check exact types, spine lengths, ints and every field. A
@@ -26,12 +28,13 @@ lockstep steps the machines together, checks the relations at every step
 and stops at the first failure; it keeps no past states. Consecutive states
 share almost all structure, so one memo of proven pairs, keyed by object
 identity and pinning both sides, leaves a step only its new structure to
-check. Each field's key is built once, where the field is read, so a field
-already proven costs one probe; only a pair not yet proven goes on the work
-list. The memo keeps two generations: every _MEMO_GENERATION steps the
-young one becomes the old one and the old one is dropped, and a hit in the
-old one is promoted. That bounds memory; a pair that aged out is only
-checked again.
+check. A vector and the local environment it selects are keyed by the cell
+of env their first entry selects from, which a binder leaves in place. Each
+field's key is built once, where the field is read, so a field already
+proven costs one probe; only a pair not yet proven goes on the work list.
+The memo keeps two generations: every _MEMO_GENERATION steps the young one
+becomes the old one and the old one is dropped, and a hit in the old one is
+promoted. That bounds memory; a pair that aged out is only checked again.
 """
 
 from __future__ import annotations
@@ -170,8 +173,11 @@ def _diamond_fields(x, y, todo: list, memo: RelationMemo) -> bool:
     depth, env = x.depth, x.env
     a, b = x.vec, y.lenv
     if a is not NIL or b is not NIL:
-        key = (_DIAMOND_LOCAL, id(a), id(b), depth, id(env))
-        if key not in young and first_visit(key, item := (_DIAMOND_LOCAL, a, b, depth, env)):
+        cell = _selected_cell(a, depth, env)
+        if cell is None:
+            return False
+        key = (_DIAMOND_LOCAL, id(a), id(b), id(cell))
+        if key not in young and first_visit(key, item := (_DIAMOND_LOCAL, a, b, cell)):
             todo.append(item)
     a, b = x.table, y.lenv_mu
     if a is not NIL or b is not NIL:
@@ -217,23 +223,39 @@ def _prove(todo: list, memo: RelationMemo) -> bool:
                 if key in young or not first_visit(key, (x, y)):
                     break
             continue
-        # _DIAMOND_LOCAL: x a vector that selects the local environment y
-        # from the global environment env at depth; _DIAMOND_TABLE: x a
-        # table of vectors, y the local environments they select.
-        depth, env = item[3], item[4]
-        while x is not NIL:
-            a, b = x.head, y.head
-            if kind == _DIAMOND_LOCAL:
-                selected = depth - a
-                if not 0 <= selected < env.length:
-                    return False
-                a = env[selected]
+        if kind == _DIAMOND_LOCAL:
+            # x a vector, y the local environment it selects, cell the
+            # global environment from the closure x's head selects on. Each
+            # further entry selects from the cell its predecessor selected,
+            # at their distance.
+            cell = item[3]
+            while True:
+                a, b = cell.head, y.head
                 key = (_DIAMOND_CLOSURE, id(a), id(b))
                 if key not in young and first_visit(key, item := (_DIAMOND_CLOSURE, a, b)):
                     push(item)
-            elif a is not NIL or b is not NIL:
-                key = (_DIAMOND_LOCAL, id(a), id(b), depth, id(env))
-                if key not in young and first_visit(key, item := (_DIAMOND_LOCAL, a, b, depth, env)):
+                entry = x.head
+                x, y = x.tail, y.tail
+                if x is NIL:
+                    break
+                cell = _selected_cell(x, entry, cell)
+                if cell is None:
+                    return False
+                key = (kind, id(x), id(y), id(cell))
+                if key in young or not first_visit(key, (x, y, cell)):
+                    break
+            continue
+        # _DIAMOND_TABLE: x a table of vectors, y the local environments
+        # they select from the global environment env at depth.
+        depth, env = item[3], item[4]
+        while x is not NIL:
+            a, b = x.head, y.head
+            if a is not NIL or b is not NIL:
+                cell = _selected_cell(a, depth, env)
+                if cell is None:
+                    return False
+                key = (_DIAMOND_LOCAL, id(a), id(b), id(cell))
+                if key not in young and first_visit(key, item := (_DIAMOND_LOCAL, a, b, cell)):
                     push(item)
             x, y = x.tail, y.tail
             if x is NIL:
@@ -242,6 +264,28 @@ def _prove(todo: list, memo: RelationMemo) -> bool:
             if key in young or not first_visit(key, (x, y, env)):
                 break
     return True
+
+
+def _selected_cell(vec: PList, depth: int, env: PList) -> PList | None:
+    """env from the closure the head of vec selects at depth on, that is
+    from env[depth - vec.head]; None when vec is empty or selects nothing.
+
+    A vector/local environment pair is keyed by this cell, not by depth and
+    env: a binder pushes one closure onto env and raises the depth by one,
+    which leaves every selected cell in place, so the pairs below it stay
+    proven. The key fixes what the later entries select only if none of
+    them exceeds the head, so a vector with an increasing step is not
+    related; the it machine's vectors strictly decrease.
+    """
+    if vec is NIL:
+        return None
+    selected = depth - vec.head
+    if not 0 <= selected < env.length:
+        return None
+    while selected:
+        env = env.tail
+        selected -= 1
+    return env
 
 
 def _star_term(x, y, depth: int, vec: PList, table: PList) -> bool:

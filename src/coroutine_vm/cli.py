@@ -280,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RecursionError:  # safe_db, down, lift, is_closed_ct, is_scoped_gs, print_term and gen still recurse
+    except RecursionError:  # gen still recurses
         print("error: term nested too deeply", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError:  # the reader went away; keep the flush at exit quiet

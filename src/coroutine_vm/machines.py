@@ -31,18 +31,17 @@ Rules are pure and never mutate. Environments, stacks, vectors and tables
 are persistent lists, so every capture is O(1) and shares structure.
 
 States, closures and trace events are frozen slots dataclasses; their
-__init__ stores each field directly through its slot (see _direct_init), so
-a step costs no generic object.__setattr__ calls and records still reject
-assignment. run prints each subterm's trace head once per call, not once per
-step: the machines never build terms, so every head is a subterm of the
-input.
+__init__ stores each field directly through its slot (see
+terms._direct_init), so a step costs no generic object.__setattr__ calls
+and records still reject assignment. run prints each subterm's trace head
+once per call, not once per step: the machines never build terms, so every
+head is a subterm of the input.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
-from dataclasses import MISSING, dataclass
+from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import OpenTermError, WorkbenchError
@@ -57,6 +56,7 @@ from .terms import (
     TermGS,
     Throw,
     Var,
+    _direct_init,
     is_closed_ct,
     is_scoped_gs,
     print_term,
@@ -98,30 +98,6 @@ def resolve_max_steps(max_steps: int | None) -> int:
 # ---------------------------------------------------------------------------
 # States
 # ---------------------------------------------------------------------------
-
-
-def _direct_init(cls):
-    """Replace the __init__ of frozen slots dataclass cls with one that stores
-    each field through its slot's member descriptor, bound once here, instead
-    of one object.__setattr__ call per field.
-
-    The parameters are the generated ones, so keyword construction and
-    dataclasses.replace work as before; __setattr__ (FrozenInstanceError),
-    __eq__, __hash__, __repr__ and __match_args__ are untouched. Every field
-    must be an init field without a default.
-    """
-    fields = dataclasses.fields(cls)
-    if any(not f.init or f.default is not MISSING or f.default_factory is not MISSING for f in fields):
-        raise TypeError(f"{cls.__name__}: _direct_init needs init fields without defaults")
-    names = [f.name for f in fields]
-    setters = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
-    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
-    exec(f"def __init__(self, {', '.join(names)}):{body}", setters)
-    init = setters["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__annotations__ = cls.__init__.__annotations__
-    cls.__init__ = init
-    return cls
 
 
 @_direct_init

@@ -14,7 +14,8 @@ cross-checked by the test suite:
     work list and the lists are linked, so a binder conses one pair and the
     walk runs at any nesting depth;
   * safe_db: the index-form judgment over depth vectors, used by
-    the translation and the machines.
+    the translation and the machines. It walks an explicit work list too,
+    so it runs at any nesting depth.
 
 Keep the three independent: they are each other's oracles.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import OpenMuTermError, PathLink, flatten_path
+from .errors import OpenMuTermError, flatten_path
 from .plist import NIL, PList
 from .terms import (
     App,
@@ -217,23 +218,33 @@ def safe_db(t: TermCT, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> 
     table holds one such vector per label in scope. A variable at index g
     refers to the binder at depth depth - g and is safe iff that depth is a
     member of vec.
+
+    Each visit is a (node, depth, vec, table, path) tuple on a work list.
+    Subterms are visited left to right and the walk answers False at the
+    first unsafe variable, so an open label to its right raises nothing.
     """
-    return _safe_db(t, depth, vec, table, None)
-
-
-def _safe_db(t: TermCT, depth: int, vec: PList, table: PList, path: PathLink) -> bool:
-    match t:
-        case Var(index):
-            return (depth - index) in vec
-        case App(fn, arg):
-            return _safe_db(fn, depth, vec, table, (path, "fn")) and _safe_db(arg, depth, vec, table, (path, "arg"))
-        case Lam(body):
-            assert not vec or depth + 1 > vec.head, "visibility vector must stay strictly decreasing"
-            return _safe_db(body, depth + 1, vec.cons(depth + 1), table, (path, "body"))
-        case Catch(body):
-            return _safe_db(body, depth, vec, table.cons(vec), (path, "body"))
-        case Throw(label, body):
-            if label >= len(table):
-                raise OpenMuTermError(label, len(table), flatten_path(path))
-            return _safe_db(body, depth, table[label], table, (path, "body"))
-    raise TypeError(f"not a catch/throw term: {t!r}")
+    todo: list = [(t, depth, vec, table, None)]
+    push, pop = todo.append, todo.pop
+    while todo:
+        node, depth, vec, table, path = pop()
+        cls = type(node)
+        if cls is Var:
+            if (depth - node.index) not in vec:
+                return False
+        elif cls is App:
+            push((node.arg, depth, vec, table, (path, "arg")))
+            push((node.fn, depth, vec, table, (path, "fn")))
+        elif cls is Lam:
+            depth += 1
+            assert not vec.length or depth > vec.head, "visibility vector must stay strictly decreasing"
+            push((node.body, depth, vec.cons(depth), table, (path, "body")))
+        elif cls is Catch:
+            push((node.body, depth, vec, table.cons(vec), (path, "body")))
+        elif cls is Throw:
+            label = node.label
+            if label >= table.length:
+                raise OpenMuTermError(label, table.length, flatten_path(path))
+            push((node.body, depth, table[label], table, (path, "body")))
+        else:
+            raise TypeError(f"not a catch/throw term: {node!r}")
+    return True

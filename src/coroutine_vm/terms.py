@@ -11,41 +11,79 @@ Index terms use 0-based indices in two separate name spaces:
     positions in the current coroutine's visible vector (getctx/setctx
     calculus);
   * label indices count intervening capture binders.
+
+The term classes are frozen slots dataclasses whose __init__ stores each
+field through its slot (see _direct_init), so building a node costs no
+generic object.__setattr__ call. print_term and the scope checks walk an
+explicit work list, so they run at any nesting depth; they dispatch on the
+exact class of each node, so a subclass of a term class is not a term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+from dataclasses import MISSING, dataclass
 from typing import Union
+
+from .plist import plist
+
+
+def _direct_init(cls):
+    """Replace the __init__ of frozen slots dataclass cls with one that stores
+    each field through its slot's member descriptor, bound once here, instead
+    of one object.__setattr__ call per field.
+
+    The parameters are the generated ones, so keyword construction and
+    dataclasses.replace work as before; __setattr__ (FrozenInstanceError),
+    __eq__, __hash__, __repr__ and __match_args__ are untouched. Every field
+    must be an init field without a default.
+    """
+    fields = dataclasses.fields(cls)
+    if any(not f.init or f.default is not MISSING or f.default_factory is not MISSING for f in fields):
+        raise TypeError(f"{cls.__name__}: _direct_init needs init fields without defaults")
+    names = [f.name for f in fields]
+    setters = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):{body}", setters)
+    init = setters["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = cls.__init__.__annotations__
+    cls.__init__ = init
+    return cls
 
 # ---------------------------------------------------------------------------
 # Named terms
 # ---------------------------------------------------------------------------
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class NVar:
     name: str
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class NApp:
     fn: "NamedTerm"
     arg: "NamedTerm"
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class NLam:
     param: str
     body: "NamedTerm"
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class NCatch:
     label: str
     body: "NamedTerm"
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class NThrow:
     label: str
@@ -60,27 +98,32 @@ NamedTermCT = NamedTermGS = NamedTerm
 # ---------------------------------------------------------------------------
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class Var:
     index: int
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class App:
     fn: "Term"
     arg: "Term"
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class Lam:
     body: "Term"
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class Catch:
     body: "Term"
 
 
+@_direct_init
 @dataclass(frozen=True, slots=True)
 class Throw:
     label: int
@@ -91,8 +134,6 @@ Term = Union[Var, App, Lam, Catch, Throw]
 # The *CT/*GS names only say which indexing a function expects.
 TermCT = TermGS = Term
 
-PREFIX_NODES = (NLam, NCatch, NThrow, Lam, Catch, Throw)
-
 # ---------------------------------------------------------------------------
 # Concrete syntax
 # ---------------------------------------------------------------------------
@@ -102,6 +143,19 @@ PREFIX_NODES = (NLam, NCatch, NThrow, Lam, Catch, Throw)
 KEYWORDS = {"ct": ("catch", "throw", "catch.", "throw"), "gs": ("getctx", "setctx", "get.", "set")}
 
 
+class _Text(str):
+    """Text queued on print_term's work list; its class tells it from a subterm."""
+
+    __slots__ = ()
+
+
+_CLOSE, _SPACE, _SPACE_OPEN = _Text(")"), _Text(" "), _Text(" (")
+# A prefix form is parenthesized as an application's function or argument,
+# an application only as an argument.
+_PREFIX_CLASSES = frozenset({NLam, NCatch, NThrow, Lam, Catch, Throw})
+_WRAPPED_ARG_CLASSES = _PREFIX_CLASSES | {NApp, App}
+
+
 def print_term(t: NamedTerm | Term, calculus: str) -> str:
     """Render a term in the concrete syntax of calculus ("ct" or "gs").
 
@@ -109,36 +163,58 @@ def print_term(t: NamedTerm | Term, calculus: str) -> str:
     parenthesized whenever it appears to the left of an application or as an
     argument; parse(print_term(t, c), c) == t for named terms. Index terms
     render variables as #k and binders without names (`\\.`, `catch.`, `get.`).
+
+    A prefix form's head is written when the node is visited, and the text
+    that follows a subterm (a closing parenthesis, the space before an
+    argument) is queued under it; subterms are visited left to right.
     """
-    match t:
-        case NVar(name):
-            return name
-        case Var(index):
-            return f"#{index}"
-        case NApp(fn, arg) | App(fn, arg):
-            fn_s = _wrap(fn, calculus, also_app=False)
-            arg_s = _wrap(arg, calculus, also_app=True)
-            return f"{fn_s} {arg_s}"
-        case NLam(param, body):
-            return f"\\{param}. {print_term(body, calculus)}"
-        case NCatch(label, body):
-            return f"{KEYWORDS[calculus][0]} {label}. {print_term(body, calculus)}"
-        case NThrow(label, body):
-            return f"{KEYWORDS[calculus][1]} {label} {print_term(body, calculus)}"
-        case Lam(body):
-            return f"\\. {print_term(body, calculus)}"
-        case Catch(body):
-            return f"{KEYWORDS[calculus][2]} {print_term(body, calculus)}"
-        case Throw(label, body):
-            return f"{KEYWORDS[calculus][3]} {label} {print_term(body, calculus)}"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _wrap(t: NamedTerm | Term, calculus: str, also_app: bool) -> str:
-    text = print_term(t, calculus)
-    if isinstance(t, PREFIX_NODES) or (also_app and isinstance(t, (NApp, App))):
-        return f"({text})"
-    return text
+    out: list[str] = []
+    emit = out.append
+    todo: list = [t]
+    push, pop = todo.append, todo.pop
+    while todo:
+        node = pop()
+        cls = type(node)
+        if cls is _Text:
+            emit(node)
+        elif cls is NVar:
+            emit(node.name)
+        elif cls is Var:
+            emit(f"#{node.index}")
+        elif cls is NApp or cls is App:
+            fn, arg = node.fn, node.arg
+            if type(arg) in _WRAPPED_ARG_CLASSES:
+                push(_CLOSE)
+                push(arg)
+                push(_SPACE_OPEN)
+            else:
+                push(arg)
+                push(_SPACE)
+            if type(fn) in _PREFIX_CLASSES:
+                push(_CLOSE)
+                emit("(")
+            push(fn)
+        elif cls is NLam:
+            emit(f"\\{node.param}. ")
+            push(node.body)
+        elif cls is NCatch:
+            emit(f"{KEYWORDS[calculus][0]} {node.label}. ")
+            push(node.body)
+        elif cls is NThrow:
+            emit(f"{KEYWORDS[calculus][1]} {node.label} ")
+            push(node.body)
+        elif cls is Lam:
+            emit("\\. ")
+            push(node.body)
+        elif cls is Catch:
+            emit(f"{KEYWORDS[calculus][2]} ")
+            push(node.body)
+        elif cls is Throw:
+            emit(f"{KEYWORDS[calculus][3]} {node.label} ")
+            push(node.body)
+        else:
+            raise TypeError(f"not a term: {node!r}")
+    return "".join(out)
 
 # ---------------------------------------------------------------------------
 # Closedness / scope checks on index terms
@@ -146,19 +222,33 @@ def _wrap(t: NamedTerm | Term, calculus: str, also_app: bool) -> str:
 
 
 def is_closed_ct(t: TermCT, lam_depth: int = 0, label_depth: int = 0) -> bool:
-    """True iff every Var resolves under the Lam binders and every Throw under the Catch binders."""
-    match t:
-        case Var(index):
-            return index < lam_depth
-        case App(fn, arg):
-            return is_closed_ct(fn, lam_depth, label_depth) and is_closed_ct(arg, lam_depth, label_depth)
-        case Lam(body):
-            return is_closed_ct(body, lam_depth + 1, label_depth)
-        case Catch(body):
-            return is_closed_ct(body, lam_depth, label_depth + 1)
-        case Throw(label, body):
-            return label < label_depth and is_closed_ct(body, lam_depth, label_depth)
-    raise TypeError(f"not a catch/throw term: {t!r}")
+    """True iff every Var resolves under the Lam binders and every Throw under the Catch binders.
+
+    The walk visits subterms left to right and answers False at the first
+    index out of range, so a malformed node to its right raises nothing.
+    """
+    todo = [(t, lam_depth, label_depth)]
+    push, pop = todo.append, todo.pop
+    while todo:
+        node, lam_depth, label_depth = pop()
+        cls = type(node)
+        if cls is Var:
+            if node.index >= lam_depth:
+                return False
+        elif cls is App:
+            push((node.arg, lam_depth, label_depth))
+            push((node.fn, lam_depth, label_depth))
+        elif cls is Lam:
+            push((node.body, lam_depth + 1, label_depth))
+        elif cls is Catch:
+            push((node.body, lam_depth, label_depth + 1))
+        elif cls is Throw:
+            if node.label >= label_depth:
+                return False
+            push((node.body, lam_depth, label_depth))
+        else:
+            raise TypeError(f"not a catch/throw term: {node!r}")
+    return True
 
 
 def is_scoped_gs(t: TermGS, visible_len: int = 0, snapshot_lens: tuple[int, ...] = ()) -> bool:
@@ -167,18 +257,30 @@ def is_scoped_gs(t: TermGS, visible_len: int = 0, snapshot_lens: tuple[int, ...]
     Local indices are positions in the current coroutine's visible vector, so
     validity depends only on the vector *lengths*: Lam grows the current
     length by one, a capture snapshots it, a restore brings a snapshot back.
+    The snapshots in scope are a persistent list, newest first, so a capture
+    conses one cell. The walk visits subterms left to right and answers False
+    at the first index out of range.
     """
-    match t:
-        case Var(index):
-            return index < visible_len
-        case App(fn, arg):
-            return is_scoped_gs(fn, visible_len, snapshot_lens) and is_scoped_gs(arg, visible_len, snapshot_lens)
-        case Lam(body):
-            return is_scoped_gs(body, visible_len + 1, snapshot_lens)
-        case Catch(body):
-            return is_scoped_gs(body, visible_len, (visible_len,) + snapshot_lens)
-        case Throw(label, body):
-            if label >= len(snapshot_lens):
+    todo = [(t, visible_len, plist(snapshot_lens))]
+    push, pop = todo.append, todo.pop
+    while todo:
+        node, visible_len, snapshots = pop()
+        cls = type(node)
+        if cls is Var:
+            if node.index >= visible_len:
                 return False
-            return is_scoped_gs(body, snapshot_lens[label], snapshot_lens)
-    raise TypeError(f"not a getctx/setctx term: {t!r}")
+        elif cls is App:
+            push((node.arg, visible_len, snapshots))
+            push((node.fn, visible_len, snapshots))
+        elif cls is Lam:
+            push((node.body, visible_len + 1, snapshots))
+        elif cls is Catch:
+            push((node.body, visible_len, snapshots.cons(visible_len)))
+        elif cls is Throw:
+            label = node.label
+            if label >= snapshots.length:
+                return False
+            push((node.body, snapshots[label], snapshots))
+        else:
+            raise TypeError(f"not a getctx/setctx term: {node!r}")
+    return True

@@ -5,11 +5,20 @@ vector) into global indices (binder counts), producing a catch/throw term
 that is safe by construction. lift is its constructive inverse: it succeeds
 exactly on safe catch/throw terms and recovers the unique getctx/setctx
 source. Structure is preserved one-for-one; only variable indices change.
+
+Both walk the term on an explicit work list, so they run at any nesting
+depth. A node is visited from a (node, depth, vec, table, path) tuple; the
+node itself, pushed under its subterms' visits, is the marker that builds
+its image from theirs on the `out` stack once they are done. Subterms are
+visited left to right, so the first error raised is the one a recursive
+walk would raise. Each dispatches on the exact class of a node, so a
+subclass of a term class raises TypeError. The two are written apart on
+purpose: each is the other's check.
 """
 
 from __future__ import annotations
 
-from .errors import NotSafeError, OpenMuTermError, PathLink, UnsafeLocalIndexError, flatten_path
+from .errors import NotSafeError, OpenMuTermError, UnsafeLocalIndexError, flatten_path
 from .plist import NIL, PList
 from .terms import App, Catch, Lam, TermCT, TermGS, Throw, Var
 
@@ -21,29 +30,49 @@ def down(t: TermGS, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> Ter
     global index depth - vec[l]. Raises UnsafeLocalIndexError when l is out of
     the vector, OpenMuTermError when a label is out of the table.
     """
-    return _down(t, depth, vec, table, None)
-
-
-def _down(t: TermGS, depth: int, vec: PList, table: PList, path: PathLink) -> TermCT:
-    match t:
-        case Var(index):
-            if index >= len(vec):
-                raise UnsafeLocalIndexError(index, len(vec), flatten_path(path))
-            return Var(depth - vec[index])
-        case App(fn, arg):
-            return App(
-                _down(fn, depth, vec, table, (path, "fn")),
-                _down(arg, depth, vec, table, (path, "arg")),
-            )
-        case Lam(body):
-            return Lam(_down(body, depth + 1, vec.cons(depth + 1), table, (path, "body")))
-        case Catch(body):
-            return Catch(_down(body, depth, vec, table.cons(vec), (path, "body")))
-        case Throw(label, body):
-            if label >= len(table):
-                raise OpenMuTermError(label, len(table), flatten_path(path))
-            return Throw(label, _down(body, depth, table[label], table, (path, "body")))
-    raise TypeError(f"not a getctx/setctx term: {t!r}")
+    out: list[TermCT] = []
+    todo: list = [(t, depth, vec, table, None)]
+    push, pop = todo.append, todo.pop
+    while todo:
+        item = pop()
+        cls = type(item)
+        if cls is tuple:
+            node, depth, vec, table, path = item
+            cls = type(node)
+            if cls is Var:
+                index = node.index
+                if index >= vec.length:
+                    raise UnsafeLocalIndexError(index, vec.length, flatten_path(path))
+                out.append(Var(depth - vec[index]))
+            elif cls is App:
+                push(node)
+                push((node.arg, depth, vec, table, (path, "arg")))
+                push((node.fn, depth, vec, table, (path, "fn")))
+            elif cls is Lam:
+                push(node)
+                depth += 1
+                push((node.body, depth, vec.cons(depth), table, (path, "body")))
+            elif cls is Catch:
+                push(node)
+                push((node.body, depth, vec, table.cons(vec), (path, "body")))
+            elif cls is Throw:
+                label = node.label
+                if label >= table.length:
+                    raise OpenMuTermError(label, table.length, flatten_path(path))
+                push(node)
+                push((node.body, depth, table[label], table, (path, "body")))
+            else:
+                raise TypeError(f"not a getctx/setctx term: {node!r}")
+        elif cls is App:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        elif cls is Lam:
+            out[-1] = Lam(out[-1])
+        elif cls is Catch:
+            out[-1] = Catch(out[-1])
+        else:
+            out[-1] = Throw(item.label, out[-1])
+    return out[0]
 
 
 def lift(t: TermCT, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> TermGS:
@@ -54,29 +83,51 @@ def lift(t: TermCT, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> Ter
     vector is strictly decreasing). Raises NotSafeError at the first variable
     whose binder is not visible; lift succeeds iff safe_db holds.
     """
-    return _lift(t, depth, vec, table, None)
-
-
-def _lift(t: TermCT, depth: int, vec: PList, table: PList, path: PathLink) -> TermGS:
-    match t:
-        case Var(index):
-            wanted = depth - index
-            for position, entry in enumerate(vec):
-                if entry == wanted:
-                    return Var(position)
-            raise NotSafeError(index, flatten_path(path))
-        case App(fn, arg):
-            return App(
-                _lift(fn, depth, vec, table, (path, "fn")),
-                _lift(arg, depth, vec, table, (path, "arg")),
-            )
-        case Lam(body):
-            assert not vec or depth + 1 > vec.head, "visibility vector must stay strictly decreasing"
-            return Lam(_lift(body, depth + 1, vec.cons(depth + 1), table, (path, "body")))
-        case Catch(body):
-            return Catch(_lift(body, depth, vec, table.cons(vec), (path, "body")))
-        case Throw(label, body):
-            if label >= len(table):
-                raise OpenMuTermError(label, len(table), flatten_path(path))
-            return Throw(label, _lift(body, depth, table[label], table, (path, "body")))
-    raise TypeError(f"not a catch/throw term: {t!r}")
+    out: list[TermGS] = []
+    todo: list = [(t, depth, vec, table, None)]
+    push, pop = todo.append, todo.pop
+    while todo:
+        item = pop()
+        cls = type(item)
+        if cls is tuple:
+            node, depth, vec, table, path = item
+            cls = type(node)
+            if cls is Var:
+                wanted = depth - node.index
+                position = 0
+                while vec.length and vec.head != wanted:
+                    vec = vec.tail
+                    position += 1
+                if not vec.length:
+                    raise NotSafeError(node.index, flatten_path(path))
+                out.append(Var(position))
+            elif cls is App:
+                push(node)
+                push((node.arg, depth, vec, table, (path, "arg")))
+                push((node.fn, depth, vec, table, (path, "fn")))
+            elif cls is Lam:
+                depth += 1
+                assert not vec.length or depth > vec.head, "visibility vector must stay strictly decreasing"
+                push(node)
+                push((node.body, depth, vec.cons(depth), table, (path, "body")))
+            elif cls is Catch:
+                push(node)
+                push((node.body, depth, vec, table.cons(vec), (path, "body")))
+            elif cls is Throw:
+                label = node.label
+                if label >= table.length:
+                    raise OpenMuTermError(label, table.length, flatten_path(path))
+                push(node)
+                push((node.body, depth, table[label], table, (path, "body")))
+            else:
+                raise TypeError(f"not a catch/throw term: {node!r}")
+        elif cls is App:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        elif cls is Lam:
+            out[-1] = Lam(out[-1])
+        elif cls is Catch:
+            out[-1] = Catch(out[-1])
+        else:
+            out[-1] = Throw(item.label, out[-1])
+    return out[0]

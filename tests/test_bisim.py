@@ -218,6 +218,38 @@ def test_state_maps_are_functional():
             assert R_star(it_s, ct_s, shared) and R_diamond(it_s, gs_s, shared)
 
 
+def test_a_vector_with_an_increasing_step_is_not_related():
+    # every it state's vectors strictly decrease; a pair is keyed by the
+    # cell its vector's head selects, which fixes the cells the later
+    # entries select only if none of them exceeds the head
+    c1, c2 = _it(IDENT), _it(Lam(Lam(Var(0))))
+    g1, g2 = ClosureGS(c1.term, NIL, NIL, NIL), ClosureGS(c2.term, NIL, NIL, NIL)
+    c = _it(Var(0), 2, plist([1, 2]), env=plist([c2, c1]))
+    assert not R_diamond(c, ClosureGS(Var(0), plist([g1, g2]), NIL, NIL))
+    assert R_diamond(replace(c, vec=plist([2, 2])), ClosureGS(Var(0), plist([g2, g2]), NIL, NIL))
+    assert not R_diamond(replace(c, vec=plist([2, 2])), ClosureGS(Var(0), plist([g2, g1]), NIL, NIL))
+
+
+def test_a_binder_step_reproves_only_its_new_pairs():
+    # Under n binders the vector has n entries. A binder pushes one closure
+    # and raises the depth, which leaves every cell the older entries
+    # select in place, so re-proving after it adds a bounded number of
+    # memo entries, not one per entry.
+    n = 400
+    term = to_debruijn_gs(parse_gs("(" + "".join(f"\\x{i}. " for i in range(n)) + "x0)" + " (\\z. z)" * n))
+    it, ct, gs = initial_it(term), initial_ct(down(term)), initial_gs(term)
+    while it.depth < n - 1 or type(it.term) is not Lam:
+        (_, it), (_, ct), (_, gs) = step_it(it), step_ct(ct), step_gs(gs)
+    assert len(it.vec) == n - 1 and len(it.stack) == 1
+    memo = RelationMemo()
+    assert R_star(it, ct, memo) and R_diamond(it, gs, memo)
+    before = len(memo.young)
+    (_, it), (_, ct), (_, gs) = step_it(it), step_ct(ct), step_gs(gs)
+    assert len(it.vec) == n
+    assert R_star(it, ct, memo) and R_diamond(it, gs, memo)
+    assert len(memo.young) - before < 10
+
+
 # ---------------------------------------------------------------------------
 # Exact structure and sharing
 # ---------------------------------------------------------------------------

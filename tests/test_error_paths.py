@@ -10,7 +10,7 @@ import pytest
 from coroutine_vm.debruijn import to_debruijn_ct, to_debruijn_gs
 from coroutine_vm.errors import NotSafeError, NotVisibleError, OpenMuTermError, UnboundNameError, UnsafeLocalIndexError
 from coroutine_vm.safety import safe_db, safe_named
-from coroutine_vm.terms import App, Catch, Lam, NApp, NCatch, NLam, NThrow, NVar, Throw, Var
+from coroutine_vm.terms import App, Catch, Lam, NApp, NCatch, NLam, NThrow, NVar, Throw, Var, is_closed_ct, is_scoped_gs, print_term
 from coroutine_vm.translate import down, lift
 
 N_ID = NLam("x", NVar("x"))
@@ -74,3 +74,93 @@ def test_error_at_root_has_empty_path():
         to_debruijn_ct(NVar("z"))
     assert exc_info.value.path == ()
     assert str(exc_info.value) == "unbound variable 'z' at root"
+
+
+# Two faults side by side, each term at root.arg.body.fn: the left one is the
+# one reported, since the walks visit subterms left to right and stop at the
+# first fault. A judgment that answers False at a fault raises nothing for a
+# fault to its right.
+AT_FN_FN = "root.arg.body.fn.fn"
+TWO_FAULTS = [
+    pytest.param(down, App(Var(3), Var(4)), UnsafeLocalIndexError, MIXED + ("fn",),
+                 f"local index 3 out of range (visible vector has length 1) at {AT_FN_FN}", id="down-two-indices"),
+    pytest.param(down, App(Var(3), Throw(0, Var(0))), UnsafeLocalIndexError, MIXED + ("fn",),
+                 f"local index 3 out of range (visible vector has length 1) at {AT_FN_FN}", id="down-index-then-label"),
+    pytest.param(down, App(Throw(0, Var(0)), Var(3)), OpenMuTermError, MIXED + ("fn",),
+                 f"context label 0 not in scope (table has 0 entries) at {AT_FN_FN}", id="down-label-then-index"),
+    pytest.param(down, App(Var(3), NVar("y")), UnsafeLocalIndexError, MIXED + ("fn",),
+                 f"local index 3 out of range (visible vector has length 1) at {AT_FN_FN}", id="down-index-then-type"),
+    pytest.param(down, App(NVar("x"), Var(3)), TypeError, None,
+                 "not a getctx/setctx term: NVar(name='x')", id="down-type-then-index"),
+    pytest.param(lift, App(Var(5), Var(6)), NotSafeError, MIXED + ("fn",),
+                 f"variable #5 at {AT_FN_FN} is not visible in its coroutine", id="lift-two-variables"),
+    pytest.param(lift, App(Var(5), Throw(0, Var(0))), NotSafeError, MIXED + ("fn",),
+                 f"variable #5 at {AT_FN_FN} is not visible in its coroutine", id="lift-variable-then-label"),
+    pytest.param(lift, App(Throw(0, Var(0)), Var(5)), OpenMuTermError, MIXED + ("fn",),
+                 f"context label 0 not in scope (table has 0 entries) at {AT_FN_FN}", id="lift-label-then-variable"),
+    pytest.param(lift, App(NVar("x"), Var(5)), TypeError, None,
+                 "not a catch/throw term: NVar(name='x')", id="lift-type-then-variable"),
+    pytest.param(safe_db, App(Throw(0, Var(0)), Throw(1, Var(0))), OpenMuTermError, MIXED + ("fn",),
+                 f"context label 0 not in scope (table has 0 entries) at {AT_FN_FN}", id="safe_db-two-labels"),
+    pytest.param(safe_db, App(Lam(Throw(2, Var(0))), Throw(1, Var(0))), OpenMuTermError, MIXED + ("fn", "body"),
+                 f"context label 2 not in scope (table has 0 entries) at {AT_FN_FN}.body", id="safe_db-deeper-left-label"),
+    pytest.param(safe_db, App(Throw(0, Var(0)), Var(5)), OpenMuTermError, MIXED + ("fn",),
+                 f"context label 0 not in scope (table has 0 entries) at {AT_FN_FN}", id="safe_db-label-then-variable"),
+    pytest.param(safe_db, App(NVar("x"), Throw(0, Var(0))), TypeError, None,
+                 "not a catch/throw term: NVar(name='x')", id="safe_db-type-then-label"),
+    pytest.param(is_closed_ct, App(NVar("x"), NVar("y")), TypeError, None,
+                 "not a catch/throw term: NVar(name='x')", id="is_closed_ct-two-types"),
+    pytest.param(is_closed_ct, App(NVar("x"), Var(5)), TypeError, None,
+                 "not a catch/throw term: NVar(name='x')", id="is_closed_ct-type-then-variable"),
+    pytest.param(is_scoped_gs, App(NVar("x"), NVar("y")), TypeError, None,
+                 "not a getctx/setctx term: NVar(name='x')", id="is_scoped_gs-two-types"),
+    pytest.param(is_scoped_gs, App(NVar("x"), Throw(0, Var(0))), TypeError, None,
+                 "not a getctx/setctx term: NVar(name='x')", id="is_scoped_gs-type-then-label"),
+]
+
+
+@pytest.mark.parametrize("function, faults, error, path, message", TWO_FAULTS)
+def test_leftmost_of_two_faults_is_reported(function, faults, error, path, message):
+    with pytest.raises(error) as exc_info:
+        function(under_mixed(faults))
+    assert type(exc_info.value) is error
+    assert str(exc_info.value) == message
+    if path is not None:
+        assert exc_info.value.path == path
+
+
+FALSE_BEFORE_FAULT = [
+    pytest.param(safe_db, App(Var(5), Throw(0, Var(0))), id="safe_db-variable-then-label"),
+    pytest.param(safe_db, App(Var(5), NVar("y")), id="safe_db-variable-then-type"),
+    pytest.param(is_closed_ct, App(Var(5), NVar("y")), id="is_closed_ct-variable-then-type"),
+    pytest.param(is_closed_ct, App(Throw(0, Var(0)), NVar("y")), id="is_closed_ct-label-then-type"),
+    pytest.param(is_scoped_gs, App(Var(5), NVar("y")), id="is_scoped_gs-variable-then-type"),
+    pytest.param(is_scoped_gs, App(Throw(0, Var(0)), NVar("y")), id="is_scoped_gs-label-then-type"),
+]
+
+
+@pytest.mark.parametrize("function, faults", FALSE_BEFORE_FAULT)
+def test_false_at_the_left_fault_hides_the_right_one(function, faults):
+    assert function(under_mixed(faults)) is False
+
+
+class MyVar(Var):
+    __slots__ = ()
+
+
+SUBCLASS_REJECTED = [
+    pytest.param(down, "not a getctx/setctx term: ", id="down"),
+    pytest.param(lift, "not a catch/throw term: ", id="lift"),
+    pytest.param(safe_db, "not a catch/throw term: ", id="safe_db"),
+    pytest.param(is_closed_ct, "not a catch/throw term: ", id="is_closed_ct"),
+    pytest.param(is_scoped_gs, "not a getctx/setctx term: ", id="is_scoped_gs"),
+    pytest.param(lambda term: print_term(term, "ct"), "not a term: ", id="print_term"),
+]
+
+
+@pytest.mark.parametrize("function, prefix", SUBCLASS_REJECTED)
+def test_a_subclass_of_a_term_class_is_not_a_term(function, prefix):
+    # every layer dispatches on the exact class, as the machines do
+    with pytest.raises(TypeError) as exc_info:
+        function(under_mixed(MyVar(0)))
+    assert str(exc_info.value) == prefix + "MyVar(index=0)"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from coroutine_vm import machines
+from coroutine_vm import machines, terms
 from coroutine_vm.debruijn import to_debruijn_ct, to_debruijn_gs
 from coroutine_vm.errors import OpenTermError, WorkbenchError
 from coroutine_vm.gen import gen_gs_db
@@ -36,7 +36,7 @@ from coroutine_vm.machines import (
 )
 from coroutine_vm.parser import parse, parse_ct, parse_gs
 from coroutine_vm.plist import NIL, plist
-from coroutine_vm.terms import App, Catch, Lam, NVar, Throw, Var, print_term
+from coroutine_vm.terms import App, Catch, Lam, NApp, NCatch, NLam, NThrow, NVar, Throw, Var, print_term
 from coroutine_vm.translate import down
 
 CT_DEMO = Catch(Throw(0, Lam(Var(0))))
@@ -288,7 +288,7 @@ def test_rules_dispatch_on_the_exact_term_class():
     with pytest.raises(TypeError, match=r"^not a catch/throw term: .*MyVar\(index=0\)$"):
         step_ct(StateCT(MyVar(0), plist([ClosureCT(Lam(Var(0)), NIL, NIL)]), NIL, NIL))
     with pytest.raises(TypeError, match=r"^not a getctx/setctx term: .*MyVar\(index=0\)$"):
-        run(App(Lam(MyVar(0)), Lam(Var(0))), "it", max_steps=10)  # is_scoped_gs accepts the subclass
+        run(App(Lam(MyVar(0)), Lam(Var(0))), "it", max_steps=10)  # is_scoped_gs rejects the subclass
 
 
 def _runs_to_compare(corpus_dir):
@@ -350,6 +350,16 @@ RECORD_FIELDS = [
     (ClosureIT, ("term", "depth", "vec", "table", "env", "mu_env")),
     (StateIT, ("term", "depth", "vec", "table", "env", "mu_env", "stack")),
     (TraceEvent, ("step", "machine", "rule", "head", "stack_depth", "mu_count")),
+    (NVar, ("name",)),
+    (NApp, ("fn", "arg")),
+    (NLam, ("param", "body")),
+    (NCatch, ("label", "body")),
+    (NThrow, ("label", "body")),
+    (Var, ("index",)),
+    (App, ("fn", "arg")),
+    (Lam, ("body",)),
+    (Catch, ("body",)),
+    (Throw, ("label", "body")),
 ]
 
 
@@ -378,7 +388,7 @@ def test_machine_records_stay_immutable(cls, fields):
 def test_direct_init_rejects_fields_with_defaults():
     with_default = dataclasses.make_dataclass("WithDefault", [("x", int, 0)], frozen=True, slots=True)
     with pytest.raises(TypeError):
-        machines._direct_init(with_default)
+        terms._direct_init(with_default)
 
 
 def test_trace_heads_printed_once_per_subterm(monkeypatch):
