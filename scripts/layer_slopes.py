@@ -1,22 +1,26 @@
 #!/usr/bin/env python3
-"""Time each front-end and safety layer on chains of growing depth.
+"""Time each front-end and safety layer on term families of growing size.
 
     python3 scripts/layer_slopes.py [--repeat 7]
 
 For each layer (parse, print_term, to_debruijn_ct, to_debruijn_gs, is_safe,
-safe_named, safe_db, is_closed_ct, is_scoped_gs, down, lift) and each of two
-safe families,
+safe_named, safe_db, is_closed_ct, is_scoped_gs, down, lift) and each of four
+safe families of about n nodes,
 
     binders   \\x0. \\x1. ... \\x(n-1). x0
     catches   \\x0. catch k0. ... \\x(n/2-1). catch k(n/2-1). throw k0 x0
+    wide      \\x. x x ... x                        (n/2 uses of x)
+    uses      \\x. \\y0. ... \\y(n/3-1). x x ... x   (n/3 uses of x)
 
 at n = 400, 800, 1600 and 3200, it prints the best of --repeat timings in
 microseconds per term node, and the least-squares slope of log(time) against
 log(nodes). A slope of about 1 is a layer linear in the term; about 2 is
-quadratic. Each layer's input is made outside its timing: the source text
-for parse, the named term for print_term, the conversions and the named
-judgments, the catch/throw index term for safe_db, is_closed_ct and lift,
-the getctx/setctx index term for is_scoped_gs and down.
+quadratic. `uses` puts n/3 uses of a binder n/3 levels out, so a layer that
+scans the binders in scope at each variable reads a slope near 2 there.
+Each layer's input is made outside its timing: the source text for parse,
+the named term for print_term, the conversions and the named judgments,
+the catch/throw index term for safe_db, is_closed_ct and lift, the
+getctx/setctx index term for is_scoped_gs and down.
 
 Every layer runs at the default recursion limit. The workbench is imported
 from the src/ directory next to this script, stdlib only otherwise.
@@ -51,6 +55,21 @@ def catches(n: int) -> tuple[str, int]:
     """The text of an n/2-pair binder/catch chain and its node count."""
     pairs = n // 2
     return "".join(f"\\x{i}. catch k{i}. " for i in range(pairs)) + "throw k0 x0", 2 * pairs + 2
+
+
+def wide(n: int) -> tuple[str, int]:
+    """The text of one binder used n/2 times, and its node count."""
+    uses = n // 2
+    return "\\x. " + " ".join(["x"] * uses), 2 * uses
+
+
+def uses(n: int) -> tuple[str, int]:
+    """The text of n/3 uses of a binder under n/3 more binders, and its node count."""
+    k = n // 3
+    return "\\x. " + "".join(f"\\y{i}. " for i in range(k)) + " ".join(["x"] * k), 3 * k
+
+
+FAMILIES = (binders, catches, wide, uses)
 
 
 def named(text: str):
@@ -107,7 +126,7 @@ def main() -> int:
     print(f"python {sys.version.split()[0]}, best of {args.repeat}, us/node at n = {', '.join(map(str, SIZES))}")
     print(f"{'layer':<16}{'family':<10}" + "".join(f"{n:>9}" for n in SIZES) + f"{'slope':>8}")
     for layer, (function, make_input) in LAYERS.items():
-        for family in (binders, catches):
+        for family in FAMILIES:
             nodes, seconds = [], []
             for n in SIZES:
                 text, count = family(n)

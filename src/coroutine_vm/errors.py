@@ -4,18 +4,18 @@ Scope/translation errors carry a *term path*: the tuple of child selectors
 ("fn" / "arg" / "body") leading from the root to the offending subterm, so the
 CLI can localize a failure inside a printed term.
 
-The path is built when raising. A traversal threads a PathLink, one
-(parent, selector) pair per step with None at the root, so each node costs
-one pair whatever its depth; flatten_path turns it into a TermPath at the
-raise site.
+No walker carries a path. Every walker visits a term's nodes in
+left-to-right pre-order and counts its visits; when it raises, path_at
+rebuilds the path of the node it stopped at from the root and that count,
+so only a failure pays for a path.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from .terms import App, NApp, NVar, Var
 
 TermPath = tuple[str, ...]
-PathLink = Optional[tuple["PathLink", str]]
+PathLink = tuple["PathLink", str] | None
 
 
 def flatten_path(link: PathLink) -> TermPath:
@@ -26,6 +26,20 @@ def flatten_path(link: PathLink) -> TermPath:
         steps.append(step)
     steps.reverse()
     return tuple(steps)
+
+
+def path_at(root, n: int) -> TermPath:
+    """The path of the n-th node of root in left-to-right pre-order, the root being the first."""
+    todo: list[tuple[object, PathLink]] = [(root, None)]
+    for _ in range(n - 1):
+        node, link = todo.pop()
+        cls = type(node)
+        if cls is App or cls is NApp:
+            todo.append((node.arg, (link, "arg")))
+            todo.append((node.fn, (link, "fn")))
+        elif cls is not Var and cls is not NVar:
+            todo.append((node.body, (link, "body")))
+    return flatten_path(todo[-1][1])
 
 
 def format_path(path: TermPath) -> str:

@@ -14,15 +14,17 @@ files (terms.KEYWORDS); both parse to NCatch/NThrow.
 Prefix-form bodies extend maximally to the right; application binds tighter,
 so a prefix form used as a function or argument must be parenthesized.
 
-The tokenizer is one regular expression, and the parser is one loop over an
-explicit stack of open parentheses, so both take time linear in the input at
-any nesting depth. A token is a (kind, text, offset) tuple; the line and
-column of a ParseError are worked out from the offset when raising.
+The tokenizer is one regular expression, read in one findall pass, and the
+parser is one loop over an explicit stack of open parentheses, so both take
+time linear in the input at any nesting depth. Every token is checked before
+parsing, so a bad character is reported before a syntax error to its left.
+No token keeps its offset: a ParseError finds it only when raising.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .errors import ParseError
 from .terms import (
@@ -48,39 +50,20 @@ _TOKEN = re.compile(r"[ \t\r\n]*(?:--[^\n]*[ \t\r\n]*)*(\w+|[\\.()]|\Z|.)", re.S
 _KINDS = {"\\": "lambda", ".": "dot", "(": "lparen", ")": "rparen", "": "eof"} | dict.fromkeys(ALL_KEYWORDS, "keyword")
 
 
-def _error(message: str, src: str, offset: int) -> ParseError:
-    """A ParseError at offset, with its line and column.
+def _error(message: str, src: str, token: int) -> ParseError:
+    """A ParseError at the token-th token, found by reading the tokens again.
 
     Lines split at "\\n" only, every other character is one column, and a
     comment takes none, so the end of input after a trailing comment is at
     the comment's start. A "--" before offset on its line can only open a
-    comment: a lone "-" is an error the tokenizer raises where it stands.
+    comment: a lone "-" is an error reported where it stands.
     """
+    offset = next(islice(_TOKEN.finditer(src), token, None)).start(1)
     start = src.rfind("\n", 0, offset) + 1
     comment = src.find("--", start, offset)
     if comment >= 0:
         offset = comment
     return ParseError(message, src.count("\n", 0, start) + 1, offset - start + 1)
-
-
-def tokenize(src: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) per token, ending with ("eof", "", offset).
-
-    kind is "ident", "keyword", "lambda", "dot", "lparen" or "rparen".
-    """
-    tokens = []
-    append = tokens.append
-    for m in _TOKEN.finditer(src):
-        text = m[1]
-        kind = _KINDS.get(text)
-        if kind is None:
-            if not (text[0].isalpha() or text[0] == "_"):
-                raise _error(f"unexpected character {text[0]!r}", src, m.start(1))
-            kind = "ident"
-        append((kind, text, m.start(1)))
-        if not text:
-            break
-    return tokens
 
 
 def parse_ct(src: str) -> NamedTermCT:
@@ -104,13 +87,18 @@ def parse(src: str, calculus: str) -> NamedTerm:
     if calculus not in KEYWORDS:
         raise ValueError(f"unknown calculus {calculus!r} (expected 'ct' or 'gs')")
     capture, restore, _, _ = KEYWORDS[calculus]
-    tokens = tokenize(src)
+    texts = _TOKEN.findall(src)
+    kinds = list(map(_KINDS.get, texts))  # None for an identifier
+    bad = {word for word in set(texts).difference(_KINDS) if not (word[0].isalpha() or word[0] == "_")}
+    if bad:
+        i = next(i for i, text in enumerate(texts) if text in bad)
+        raise _error(f"unexpected character {texts[i][0]!r}", src, i)
     stack: list[tuple[list, NamedTerm | None]] = []
     prefixes: list[tuple[type, str]] = []
     app: NamedTerm | None = None
     i = 0
     while True:
-        kind, text, offset = tokens[i]
+        kind, text = kinds[i], texts[i]
         if kind == "lambda" or kind == "keyword":
             if kind == "lambda":
                 node = NLam
@@ -119,18 +107,17 @@ def parse(src: str, calculus: str) -> NamedTerm:
             elif text == restore:
                 node = NThrow
             else:
-                raise _error(f"unknown keyword for this calculus: {text!r}", src, offset)
-            kind, text, offset = tokens[i + 1]
-            if kind != "ident":
+                raise _error(f"unknown keyword for this calculus: {text!r}", src, i)
+            kind, text = kinds[i + 1], texts[i + 1]
+            if kind is not None:
                 if kind == "keyword":
-                    raise _error(f"{text!r} is a keyword, not an identifier", src, offset)
-                raise _error(f"expected an identifier, got {text or 'end of input'!r}", src, offset)
+                    raise _error(f"{text!r} is a keyword, not an identifier", src, i + 1)
+                raise _error(f"expected an identifier, got {text or 'end of input'!r}", src, i + 1)
             prefixes.append((node, text))
             i += 2
             if node is not NThrow:
-                kind, text, offset = tokens[i]
-                if kind != "dot":
-                    raise _error(f"expected '.', got {text or 'end of input'!r}", src, offset)
+                if kinds[i] != "dot":
+                    raise _error(f"expected '.', got {texts[i] or 'end of input'!r}", src, i)
                 i += 1
             continue
         if kind == "lparen":
@@ -138,25 +125,25 @@ def parse(src: str, calculus: str) -> NamedTerm:
             prefixes, app = [], None
             i += 1
             continue
-        if kind != "ident":
-            raise _error(f"expected a term, got {text or 'end of input'!r}", src, offset)
+        if kind is not None:
+            raise _error(f"expected a term, got {text or 'end of input'!r}", src, i)
         value = NVar(text)
         i += 1
         while True:  # an atom has ended: extend the application, or end the term
             app = value if app is None else NApp(app, value)
-            kind, text, offset = tokens[i]
-            if kind == "ident" or kind == "lparen":
+            kind, text = kinds[i], texts[i]
+            if kind is None or kind == "lparen":
                 break
             if kind == "keyword" or kind == "lambda":
-                raise _error(f"{text!r} must be parenthesized here (prefix forms are not atoms)", src, offset)
+                raise _error(f"{text!r} must be parenthesized here (prefix forms are not atoms)", src, i)
             value = app
             for node, name in reversed(prefixes):
                 value = node(name, value)
             if not stack:
                 if kind != "eof":
-                    raise _error(f"unexpected trailing input {text!r}", src, offset)
+                    raise _error(f"unexpected trailing input {text!r}", src, i)
                 return value
             if kind != "rparen":
-                raise _error(f"expected ')', got {text or 'end of input'!r}", src, offset)
+                raise _error(f"expected ')', got {text or 'end of input'!r}", src, i)
             i += 1
             prefixes, app = stack.pop()

@@ -17,14 +17,16 @@ cross-checked by the test suite:
     the translation and the machines. It walks an explicit work list too,
     so it runs at any nesting depth.
 
-Keep the three independent: they are each other's oracles.
+safe_named and safe_db carry no path: they count their visits, and
+errors.path_at rebuilds the path when raising. Keep the three independent:
+they are each other's oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import OpenMuTermError, flatten_path
+from .errors import OpenMuTermError, path_at
 from .plist import NIL, PList
 from .terms import (
     App,
@@ -79,42 +81,41 @@ def _use_walk(t: NamedTermCT, check: bool) -> tuple[set[str], dict[str, set[str]
     while todo:
         node = todo.pop()
         order.append(node)
-        match node:
-            case NApp(fn, arg):
-                todo.append(arg)
-                todo.append(fn)
-            case NLam(_, body) | NCatch(_, body) | NThrow(_, body):
-                todo.append(body)
-            case NVar():
-                pass
-            case _:
-                raise TypeError(f"not a named catch/throw term: {node!r}")
+        cls = type(node)
+        if cls is NApp:
+            todo.append(node.arg)
+            todo.append(node.fn)
+        elif cls is NLam or cls is NCatch or cls is NThrow:
+            todo.append(node.body)
+        elif cls is not NVar:
+            raise TypeError(f"not a named catch/throw term: {node!r}")
     done: list[tuple[set[str], dict[str, set[str]]]] = []
     for node in reversed(order):
-        match node:
-            case NVar(name):
-                done.append(({name}, {}))
-            case NApp():
-                current, per_label = done.pop()  # fn's sets; arg's lie below
-                arg_current, arg_per_label = done[-1]
-                done[-1] = (_union(current, arg_current), _merge(per_label, arg_per_label))
-            case NLam(param, _):
-                current, per_label = done[-1]
-                if check and any(param in names for names in per_label.values()):
-                    return None
-                current.discard(param)
-                for names in per_label.values():
-                    names.discard(param)
-            case NCatch(label, _):
-                current, per_label = done[-1]
-                caught = per_label.pop(label, None)
-                if caught is not None:
-                    done[-1] = (_union(current, caught), per_label)
-            case NThrow(label, _):
-                current, per_label = done[-1]
-                target = per_label.get(label)
-                per_label[label] = current if target is None else _union(target, current)
-                done[-1] = (set(), per_label)
+        cls = type(node)
+        if cls is NVar:
+            done.append(({node.name}, {}))
+        elif cls is NApp:
+            current, per_label = done.pop()  # fn's sets; arg's lie below
+            arg_current, arg_per_label = done[-1]
+            done[-1] = (_union(current, arg_current), _merge(per_label, arg_per_label))
+        elif cls is NLam:
+            param = node.param
+            current, per_label = done[-1]
+            if check and any(param in names for names in per_label.values()):
+                return None
+            current.discard(param)
+            for names in per_label.values():
+                names.discard(param)
+        elif cls is NCatch:
+            current, per_label = done[-1]
+            caught = per_label.pop(node.label, None)
+            if caught is not None:
+                done[-1] = (_union(current, caught), per_label)
+        else:
+            current, per_label = done[-1]
+            target = per_label.get(node.label)
+            per_label[node.label] = current if target is None else _union(target, current)
+            done[-1] = (set(), per_label)
     return done[0]
 
 
@@ -164,14 +165,16 @@ def safe_named(t: NamedTermCT, env: VisibleEnv | None = None) -> bool:
     """
     env = env or VisibleEnv()
     v_mu = {label: [_linked(v)] for label, v in env.v_mu.items()}
-    todo: list = [(t, _linked(env.v), None)]
+    todo: list = [(t, _linked(env.v))]
+    visits = 0
     push, pop = todo.append, todo.pop
     while todo:
         item = pop()
         if type(item) is not tuple:  # a capture whose body is done
             v_mu[item.label].pop()
             continue
-        node, v, path = item
+        node, v = item
+        visits += 1
         cls = type(node)
         if cls is NVar:
             name = node.name
@@ -180,19 +183,19 @@ def safe_named(t: NamedTermCT, env: VisibleEnv | None = None) -> bool:
             if v is None:
                 return False
         elif cls is NApp:
-            push((node.arg, v, (path, "arg")))
-            push((node.fn, v, (path, "fn")))
+            push((node.arg, v))
+            push((node.fn, v))
         elif cls is NLam:
-            push((node.body, (node.param, v), (path, "body")))
+            push((node.body, (node.param, v)))
         elif cls is NCatch:
             v_mu.setdefault(node.label, []).append(v)
             push(node)
-            push((node.body, v, (path, "body")))
+            push((node.body, v))
         elif cls is NThrow:
             stack = v_mu.get(node.label)
             if not stack:
-                raise OpenMuTermError(node.label, sum(1 for s in v_mu.values() if s), flatten_path(path))
-            push((node.body, stack[-1], (path, "body")))
+                raise OpenMuTermError(node.label, sum(1 for s in v_mu.values() if s), path_at(t, visits))
+            push((node.body, stack[-1]))
         else:
             raise TypeError(f"not a named catch/throw term: {node!r}")
     return True
@@ -219,32 +222,34 @@ def safe_db(t: TermCT, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> 
     refers to the binder at depth depth - g and is safe iff that depth is a
     member of vec.
 
-    Each visit is a (node, depth, vec, table, path) tuple on a work list.
+    Each visit is a (node, depth, vec, table) tuple on a work list.
     Subterms are visited left to right and the walk answers False at the
     first unsafe variable, so an open label to its right raises nothing.
     """
-    todo: list = [(t, depth, vec, table, None)]
+    todo: list = [(t, depth, vec, table)]
+    visits = 0
     push, pop = todo.append, todo.pop
     while todo:
-        node, depth, vec, table, path = pop()
+        node, depth, vec, table = pop()
+        visits += 1
         cls = type(node)
         if cls is Var:
             if (depth - node.index) not in vec:
                 return False
         elif cls is App:
-            push((node.arg, depth, vec, table, (path, "arg")))
-            push((node.fn, depth, vec, table, (path, "fn")))
+            push((node.arg, depth, vec, table))
+            push((node.fn, depth, vec, table))
         elif cls is Lam:
             depth += 1
             assert not vec.length or depth > vec.head, "visibility vector must stay strictly decreasing"
-            push((node.body, depth, vec.cons(depth), table, (path, "body")))
+            push((node.body, depth, vec.cons(depth), table))
         elif cls is Catch:
-            push((node.body, depth, vec, table.cons(vec), (path, "body")))
+            push((node.body, depth, vec, table.cons(vec)))
         elif cls is Throw:
             label = node.label
             if label >= table.length:
-                raise OpenMuTermError(label, table.length, flatten_path(path))
-            push((node.body, depth, table[label], table, (path, "body")))
+                raise OpenMuTermError(label, table.length, path_at(t, visits))
+            push((node.body, depth, table[label], table))
         else:
             raise TypeError(f"not a catch/throw term: {node!r}")
     return True

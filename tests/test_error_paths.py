@@ -9,7 +9,7 @@ import pytest
 
 from coroutine_vm.debruijn import to_debruijn_ct, to_debruijn_gs
 from coroutine_vm.errors import NotSafeError, NotVisibleError, OpenMuTermError, UnboundNameError, UnsafeLocalIndexError
-from coroutine_vm.safety import safe_db, safe_named
+from coroutine_vm.safety import is_safe, safe_db, safe_named, use_sets
 from coroutine_vm.terms import App, Catch, Lam, NApp, NCatch, NLam, NThrow, NVar, Throw, Var, is_closed_ct, is_scoped_gs, print_term
 from coroutine_vm.translate import down, lift
 
@@ -144,23 +144,67 @@ def test_false_at_the_left_fault_hides_the_right_one(function, faults):
     assert function(under_mixed(faults)) is False
 
 
+# The same node object at two positions, safe at the first and failing at the
+# second: the path is the second position's, so no walk may find the failing
+# node by its identity.
+SHARED_NVAR = NVar("x")
+SHARED_NTHROW = NThrow("a", NVar("x"))
+SHARED_THROW = Throw(0, Var(0))
+SHARED_VAR = Var(0)
+SHARED = [
+    pytest.param(to_debruijn_ct, NApp(NLam("x", SHARED_NVAR), SHARED_NVAR), UnboundNameError,
+                 "unbound variable 'x' at root.arg", id="to_debruijn_ct"),
+    pytest.param(to_debruijn_gs, NApp(NLam("x", SHARED_NVAR), SHARED_NVAR), UnboundNameError,
+                 "unbound variable 'x' at root.arg", id="to_debruijn_gs"),
+    pytest.param(safe_named, NApp(NLam("x", NCatch("a", SHARED_NTHROW)), SHARED_NTHROW), OpenMuTermError,
+                 "context label 'a' not in scope (table has 0 entries) at root.arg", id="safe_named"),
+    pytest.param(safe_db, App(Lam(Catch(SHARED_THROW)), SHARED_THROW), OpenMuTermError,
+                 "context label 0 not in scope (table has 0 entries) at root.arg", id="safe_db"),
+    pytest.param(down, App(Lam(SHARED_VAR), SHARED_VAR), UnsafeLocalIndexError,
+                 "local index 0 out of range (visible vector has length 0) at root.arg", id="down"),
+    pytest.param(lift, App(Lam(SHARED_VAR), SHARED_VAR), NotSafeError,
+                 "variable #0 at root.arg is not visible in its coroutine", id="lift"),
+]
+
+
+@pytest.mark.parametrize("function, term, error, message", SHARED)
+def test_a_shared_subterm_fails_at_its_second_position(function, term, error, message):
+    with pytest.raises(error) as exc_info:
+        function(term)
+    assert type(exc_info.value) is error
+    assert exc_info.value.path == ("arg",)
+    assert str(exc_info.value) == message
+
+
 class MyVar(Var):
     __slots__ = ()
 
 
+class MyApp(NApp):
+    __slots__ = ()
+
+
+MY_VAR = under_mixed(MyVar(0))
+MY_APP = NLam("x", MyApp(NVar("x"), NVar("x")))
+MY_APP_TEXT = "MyApp(fn=NVar(name='x'), arg=NVar(name='x'))"
 SUBCLASS_REJECTED = [
-    pytest.param(down, "not a getctx/setctx term: ", id="down"),
-    pytest.param(lift, "not a catch/throw term: ", id="lift"),
-    pytest.param(safe_db, "not a catch/throw term: ", id="safe_db"),
-    pytest.param(is_closed_ct, "not a catch/throw term: ", id="is_closed_ct"),
-    pytest.param(is_scoped_gs, "not a getctx/setctx term: ", id="is_scoped_gs"),
-    pytest.param(lambda term: print_term(term, "ct"), "not a term: ", id="print_term"),
+    pytest.param(down, MY_VAR, "not a getctx/setctx term: MyVar(index=0)", id="down"),
+    pytest.param(lift, MY_VAR, "not a catch/throw term: MyVar(index=0)", id="lift"),
+    pytest.param(safe_db, MY_VAR, "not a catch/throw term: MyVar(index=0)", id="safe_db"),
+    pytest.param(is_closed_ct, MY_VAR, "not a catch/throw term: MyVar(index=0)", id="is_closed_ct"),
+    pytest.param(is_scoped_gs, MY_VAR, "not a getctx/setctx term: MyVar(index=0)", id="is_scoped_gs"),
+    pytest.param(lambda term: print_term(term, "ct"), MY_VAR, "not a term: MyVar(index=0)", id="print_term"),
+    pytest.param(is_safe, MY_APP, f"not a named catch/throw term: {MY_APP_TEXT}", id="is_safe"),
+    pytest.param(use_sets, MY_APP, f"not a named catch/throw term: {MY_APP_TEXT}", id="use_sets"),
+    pytest.param(safe_named, MY_APP, f"not a named catch/throw term: {MY_APP_TEXT}", id="safe_named"),
+    pytest.param(to_debruijn_ct, MY_APP, f"not a named catch/throw term: {MY_APP_TEXT}", id="to_debruijn_ct"),
+    pytest.param(to_debruijn_gs, MY_APP, f"not a named getctx/setctx term: {MY_APP_TEXT}", id="to_debruijn_gs"),
 ]
 
 
-@pytest.mark.parametrize("function, prefix", SUBCLASS_REJECTED)
-def test_a_subclass_of_a_term_class_is_not_a_term(function, prefix):
+@pytest.mark.parametrize("function, term, message", SUBCLASS_REJECTED)
+def test_a_subclass_of_a_term_class_is_not_a_term(function, term, message):
     # every layer dispatches on the exact class, as the machines do
     with pytest.raises(TypeError) as exc_info:
-        function(under_mixed(MyVar(0)))
-    assert str(exc_info.value) == prefix + "MyVar(index=0)"
+        function(term)
+    assert str(exc_info.value) == message

@@ -74,6 +74,16 @@ def test_error_carries_position():
         parse_ct(r"\catch. x")
 
 
+@pytest.mark.parametrize("calculus", ("ct", "gs"))
+def test_a_bad_character_is_reported_before_a_syntax_error_to_its_left(calculus):
+    # every token is checked before parsing, so the "@" wins over the ")"
+    for src, line, col in ((") x @", 1, 5), (")\n  x @ (", 2, 5), ("(x\n--)\n\\ @", 3, 3)):
+        with pytest.raises(ParseError) as exc_info:
+            parse(src, calculus)
+        assert (str(exc_info.value), exc_info.value.line, exc_info.value.col) == (
+            f"{line}:{col}: unexpected character '@'", line, col)
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse_ct("x y) z")
