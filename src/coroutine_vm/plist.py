@@ -1,9 +1,10 @@
 """Persistent singly-linked lists.
 
-Machine environments, stacks, vectors and tables are all cons lists: the
-capture rules snapshot whole sequences on every context switch, so O(1) cons
-with spine sharing is what keeps runs (and the lock-step checkers, which
-memoize by spine identity) linear instead of quadratic.
+PList is the list of the machines and of lock-step: environments, stacks,
+vectors and tables. The capture rules snapshot whole sequences on every
+context switch, so O(1) cons with spine sharing is what keeps runs (and the
+lock-step checkers, which memoize by spine identity) linear, not quadratic.
+The term walkers' scope lists are cheaper linked tuples instead; see linked.
 
 NIL is the only empty list, so `xs is NIL` tests emptiness, and every cell
 caches its length in the read-only `length` slot; the machines' hot paths use
@@ -12,6 +13,7 @@ both instead of `__bool__`/`__len__`.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Any, Iterable, Iterator
 
 
@@ -108,3 +110,8 @@ def plist(items: Iterable[Any] = ()) -> PList:
     for item in reversed(list(items)):
         out = out.cons(item)
     return out
+
+
+def linked(items: Iterable[Any]) -> tuple | None:
+    """items as a linked tuple (item, rest), first item first; None when empty."""
+    return reduce(lambda rest, item: (item, rest), reversed(tuple(items)), None)

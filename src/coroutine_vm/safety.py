@@ -14,8 +14,8 @@ cross-checked by the test suite:
     work list and the lists are linked, so a binder conses one pair and the
     walk runs at any nesting depth;
   * safe_db: the index-form judgment over depth vectors, used by
-    the translation and the machines. It walks an explicit work list too,
-    so it runs at any nesting depth.
+    the translation and the machines. It walks the same way, with binder
+    depths for names and one linked vector per label in scope.
 
 safe_named and safe_db carry no path: they count their visits, and
 errors.path_at rebuilds the path when raising. Keep the three independent:
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import OpenMuTermError, path_at
-from .plist import NIL, PList
+from .plist import NIL, PList, linked
 from .terms import (
     App,
     Catch,
@@ -164,8 +164,8 @@ def safe_named(t: NamedTermCT, env: VisibleEnv | None = None) -> bool:
     any, is the one a recursive walk would raise.
     """
     env = env or VisibleEnv()
-    v_mu = {label: [_linked(v)] for label, v in env.v_mu.items()}
-    todo: list = [(t, _linked(env.v))]
+    v_mu = {label: [linked(v)] for label, v in env.v_mu.items()}
+    todo: list = [(t, linked(env.v))]
     visits = 0
     push, pop = todo.append, todo.pop
     while todo:
@@ -201,13 +201,6 @@ def safe_named(t: NamedTermCT, env: VisibleEnv | None = None) -> bool:
     return True
 
 
-def _linked(names: tuple[str, ...]):
-    """names as a linked list (name, rest), first name first."""
-    v = None
-    for name in reversed(names):
-        v = (name, v)
-    return v
-
 # ---------------------------------------------------------------------------
 # Index form
 # ---------------------------------------------------------------------------
@@ -222,11 +215,11 @@ def safe_db(t: TermCT, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> 
     refers to the binder at depth depth - g and is safe iff that depth is a
     member of vec.
 
-    Each visit is a (node, depth, vec, table) tuple on a work list.
-    Subterms are visited left to right and the walk answers False at the
-    first unsafe variable, so an open label to its right raises nothing.
+    Each visit is a (node, depth, vec, table) tuple on a work list, vec and
+    table linked tuples (entry, rest). It answers False at the first unsafe
+    variable from the left, so an open label to its right raises nothing.
     """
-    todo: list = [(t, depth, vec, table)]
+    todo: list = [(t, depth, linked(vec), linked(map(linked, table)))]
     visits = 0
     push, pop = todo.append, todo.pop
     while todo:
@@ -234,22 +227,27 @@ def safe_db(t: TermCT, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> 
         visits += 1
         cls = type(node)
         if cls is Var:
-            if (depth - node.index) not in vec:
+            wanted = depth - node.index
+            while vec is not None and vec[0] != wanted:
+                vec = vec[1]
+            if vec is None:
                 return False
         elif cls is App:
             push((node.arg, depth, vec, table))
             push((node.fn, depth, vec, table))
         elif cls is Lam:
             depth += 1
-            assert not vec.length or depth > vec.head, "visibility vector must stay strictly decreasing"
-            push((node.body, depth, vec.cons(depth), table))
+            assert vec is None or depth > vec[0], "visibility vector must stay strictly decreasing"
+            push((node.body, depth, (depth, vec), table))
         elif cls is Catch:
-            push((node.body, depth, vec, table.cons(vec)))
+            push((node.body, depth, vec, (vec, table)))
         elif cls is Throw:
-            label = node.label
-            if label >= table.length:
-                raise OpenMuTermError(label, table.length, path_at(t, visits))
-            push((node.body, depth, table[label], table))
+            label, snapshot, n = node.label, table, 0
+            while snapshot is not None and n != label:
+                snapshot, n = snapshot[1], n + 1
+            if snapshot is None:
+                raise OpenMuTermError(label, n, path_at(t, visits))
+            push((node.body, depth, snapshot[0], table))
         else:
             raise TypeError(f"not a catch/throw term: {node!r}")
     return True

@@ -25,8 +25,6 @@ import dataclasses
 from dataclasses import MISSING, dataclass
 from typing import Union
 
-from .plist import plist
-
 
 def _direct_init(cls):
     """Replace the __init__ of frozen slots dataclass cls with one that stores
@@ -221,13 +219,13 @@ def print_term(t: NamedTerm | Term, calculus: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def is_closed_ct(t: TermCT, lam_depth: int = 0, label_depth: int = 0) -> bool:
+def is_closed_ct(t: TermCT) -> bool:
     """True iff every Var resolves under the Lam binders and every Throw under the Catch binders.
 
     The walk visits subterms left to right and answers False at the first
     index out of range, so a malformed node to its right raises nothing.
     """
-    todo = [(t, lam_depth, label_depth)]
+    todo = [(t, 0, 0)]
     push, pop = todo.append, todo.pop
     while todo:
         node, lam_depth, label_depth = pop()
@@ -251,17 +249,17 @@ def is_closed_ct(t: TermCT, lam_depth: int = 0, label_depth: int = 0) -> bool:
     return True
 
 
-def is_scoped_gs(t: TermGS, visible_len: int = 0, snapshot_lens: tuple[int, ...] = ()) -> bool:
+def is_scoped_gs(t: TermGS) -> bool:
     """True iff local and label indices stay in range.
 
     Local indices are positions in the current coroutine's visible vector, so
     validity depends only on the vector *lengths*: Lam grows the current
     length by one, a capture snapshots it, a restore brings a snapshot back.
-    The snapshots in scope are a persistent list, newest first, so a capture
-    conses one cell. The walk visits subterms left to right and answers False
-    at the first index out of range.
+    The snapshots in scope are a linked tuple (length, rest), newest first,
+    None when empty, so a capture pushes one pair. The walk visits subterms
+    left to right and answers False at the first index out of range.
     """
-    todo = [(t, visible_len, plist(snapshot_lens))]
+    todo = [(t, 0, None)]
     push, pop = todo.append, todo.pop
     while todo:
         node, visible_len, snapshots = pop()
@@ -275,12 +273,14 @@ def is_scoped_gs(t: TermGS, visible_len: int = 0, snapshot_lens: tuple[int, ...]
         elif cls is Lam:
             push((node.body, visible_len + 1, snapshots))
         elif cls is Catch:
-            push((node.body, visible_len, snapshots.cons(visible_len)))
+            push((node.body, visible_len, (visible_len, snapshots)))
         elif cls is Throw:
-            label = node.label
-            if label >= snapshots.length:
+            snapshot, k = snapshots, node.label
+            while snapshot is not None and k:
+                snapshot, k = snapshot[1], k - 1
+            if snapshot is None:
                 return False
-            push((node.body, snapshots[label], snapshots))
+            push((node.body, snapshot[0], snapshots))
         else:
             raise TypeError(f"not a getctx/setctx term: {node!r}")
     return True

@@ -7,20 +7,20 @@ exactly on safe catch/throw terms and recovers the unique getctx/setctx
 source. Structure is preserved one-for-one; only variable indices change.
 
 Both walk the term on an explicit work list, so they run at any nesting
-depth. A node is visited from a (node, depth, vec, table) tuple; the node
-itself, pushed under its subterms' visits, is the marker that builds its
-image from theirs on the `out` stack once they are done. Subterms are
-visited left to right, so the first error raised is the one a recursive
-walk would raise; no path is carried, and errors.path_at rebuilds the
-failing node's from the count of visits when raising. Each dispatches on
-the exact class of a node, so a subclass of a term class raises TypeError.
-The two are written apart on purpose: each is the other's check.
+depth. A node is visited from a (node, depth, vec, table) tuple, vec and
+table as linked tuples (entry, rest); the node itself, pushed under its
+subterms' visits, is the marker that builds its image from theirs on the
+`out` stack once they are done. Subterms are visited left to right, so the
+first error raised is the one a recursive walk would raise; errors.path_at
+rebuilds the failing node's path from the count of visits. Each dispatches
+on the exact class of a node, so a subclass of a term class raises
+TypeError. The two are written apart on purpose: each checks the other.
 """
 
 from __future__ import annotations
 
 from .errors import NotSafeError, OpenMuTermError, UnsafeLocalIndexError, path_at
-from .plist import NIL, PList
+from .plist import NIL, PList, linked
 from .terms import App, Catch, Lam, TermCT, TermGS, Throw, Var
 
 
@@ -32,7 +32,7 @@ def down(t: TermGS, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> Ter
     the vector, OpenMuTermError when a label is out of the table.
     """
     out: list[TermCT] = []
-    todo: list = [(t, depth, vec, table)]
+    todo: list = [(t, depth, linked(vec), linked(map(linked, table)))]
     visits = 0
     push, pop = todo.append, todo.pop
     while todo:
@@ -43,25 +43,35 @@ def down(t: TermGS, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> Ter
             visits += 1
             cls = type(node)
             if cls is Var:
-                index = node.index
-                if index >= vec.length:
-                    raise UnsafeLocalIndexError(index, vec.length, path_at(t, visits))
-                out.append(Var(depth - vec[index]))
-                continue
+                index = k = node.index
+                try:  # to the cell at index, eight cells a turn
+                    while k > 7:
+                        vec, k = vec[1][1][1][1][1][1][1][1], k - 8
+                    while k:
+                        vec, k = vec[1], k - 1
+                    out.append(Var(depth - vec[0]))
+                    continue
+                except TypeError:  # walked past the end: None has no cells
+                    vec, n = item[2], 0  # the visit's vec, whose length the message gives
+                    while vec is not None:
+                        vec, n = vec[1], n + 1
+                    raise UnsafeLocalIndexError(index, n, path_at(t, visits)) from None
             push(node)
             if cls is App:
                 push((node.arg, depth, vec, table))
                 push((node.fn, depth, vec, table))
             elif cls is Lam:
                 depth += 1
-                push((node.body, depth, vec.cons(depth), table))
+                push((node.body, depth, (depth, vec), table))
             elif cls is Catch:
-                push((node.body, depth, vec, table.cons(vec)))
+                push((node.body, depth, vec, (vec, table)))
             elif cls is Throw:
-                label = node.label
-                if label >= table.length:
-                    raise OpenMuTermError(label, table.length, path_at(t, visits))
-                push((node.body, depth, table[label], table))
+                label, snapshot, n = node.label, table, 0
+                while snapshot is not None and n != label:
+                    snapshot, n = snapshot[1], n + 1
+                if snapshot is None:
+                    raise OpenMuTermError(label, n, path_at(t, visits))
+                push((node.body, depth, snapshot[0], table))
             else:
                 raise TypeError(f"not a getctx/setctx term: {node!r}")
         elif cls is App:
@@ -83,7 +93,7 @@ def lift(t: TermCT, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> Ter
     whose binder is not visible; lift succeeds iff safe_db holds.
     """
     out: list[TermGS] = []
-    todo: list = [(t, depth, vec, table)]
+    todo: list = [(t, depth, linked(vec), linked(map(linked, table)))]
     visits = 0
     push, pop = todo.append, todo.pop
     while todo:
@@ -94,12 +104,10 @@ def lift(t: TermCT, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> Ter
             visits += 1
             cls = type(node)
             if cls is Var:
-                wanted = depth - node.index
-                position = 0
-                while vec.length and vec.head != wanted:
-                    vec = vec.tail
-                    position += 1
-                if not vec.length:
+                wanted, position = depth - node.index, 0
+                while vec is not None and vec[0] != wanted:
+                    vec, position = vec[1], position + 1
+                if vec is None:
                     raise NotSafeError(node.index, path_at(t, visits))
                 out.append(Var(position))
                 continue
@@ -109,15 +117,17 @@ def lift(t: TermCT, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> Ter
                 push((node.fn, depth, vec, table))
             elif cls is Lam:
                 depth += 1
-                assert not vec.length or depth > vec.head, "visibility vector must stay strictly decreasing"
-                push((node.body, depth, vec.cons(depth), table))
+                assert vec is None or depth > vec[0], "visibility vector must stay strictly decreasing"
+                push((node.body, depth, (depth, vec), table))
             elif cls is Catch:
-                push((node.body, depth, vec, table.cons(vec)))
+                push((node.body, depth, vec, (vec, table)))
             elif cls is Throw:
-                label = node.label
-                if label >= table.length:
-                    raise OpenMuTermError(label, table.length, path_at(t, visits))
-                push((node.body, depth, table[label], table))
+                label, snapshot, n = node.label, table, 0
+                while snapshot is not None and n != label:
+                    snapshot, n = snapshot[1], n + 1
+                if snapshot is None:
+                    raise OpenMuTermError(label, n, path_at(t, visits))
+                push((node.body, depth, snapshot[0], table))
             else:
                 raise TypeError(f"not a catch/throw term: {node!r}")
         elif cls is App:

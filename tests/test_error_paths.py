@@ -69,6 +69,36 @@ def test_error_reports_path_of_failing_node(function, term, error, path, message
     assert str(exc_info.value) == message
 
 
+# A negative index or label is out of range like one past the end: it raises
+# the layer's own error with its path, or the judgment answers False.
+NEGATIVE = [
+    pytest.param(down, under_mixed(Var(-1)), UnsafeLocalIndexError, MIXED,
+                 "local index -1 out of range (visible vector has length 1) at root.arg.body.fn", id="down-variable"),
+    pytest.param(down, under_mixed(Catch(Throw(-1, Var(0)))), OpenMuTermError, MIXED + ("body",),
+                 "context label -1 not in scope (table has 1 entry) at root.arg.body.fn.body", id="down-label"),
+    pytest.param(lift, under_mixed(Catch(Throw(-1, Var(0)))), OpenMuTermError, MIXED + ("body",),
+                 "context label -1 not in scope (table has 1 entry) at root.arg.body.fn.body", id="lift-label"),
+    pytest.param(safe_db, under_mixed(Catch(Throw(-1, Var(0)))), OpenMuTermError, MIXED + ("body",),
+                 "context label -1 not in scope (table has 1 entry) at root.arg.body.fn.body", id="safe_db-label"),
+    pytest.param(lift, under_mixed(Var(-1)), NotSafeError, MIXED,
+                 "variable #-1 at root.arg.body.fn is not visible in its coroutine", id="lift-variable"),
+    pytest.param(safe_db, under_mixed(Var(-1)), None, None, None, id="safe_db-variable"),
+    pytest.param(is_scoped_gs, under_mixed(Catch(Throw(-1, Var(0)))), None, None, None, id="is_scoped_gs-label"),
+]
+
+
+@pytest.mark.parametrize("function, term, error, path, message", NEGATIVE)
+def test_negative_index_or_label_is_out_of_range(function, term, error, path, message):
+    if error is None:
+        assert function(term) is False
+        return
+    with pytest.raises(error) as exc_info:
+        function(term)
+    assert type(exc_info.value) is error
+    assert exc_info.value.path == path
+    assert str(exc_info.value) == message
+
+
 def test_error_at_root_has_empty_path():
     with pytest.raises(UnboundNameError) as exc_info:
         to_debruijn_ct(NVar("z"))
