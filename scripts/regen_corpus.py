@@ -15,7 +15,6 @@ regression test replays exactly that recipe and compares bytes.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from pathlib import Path
@@ -55,10 +54,7 @@ def trace_lines(source: Path, machine: str, fuel: int, compiled: bool) -> str:
         if compiled:
             term = down(term)
     result = run(term, machine, max_steps=fuel, collect_trace=True)
-    return "".join(
-        json.dumps(dataclasses.asdict(event), sort_keys=True, separators=(",", ":")) + "\n"
-        for event in result.events
-    )
+    return "".join(event.to_json() + "\n" for event in result.events)
 
 
 def main():

@@ -21,6 +21,7 @@ from .errors import (
     WorkbenchError,
 )
 from .machines import (
+    MACHINES,
     ClosureCT,
     ClosureGS,
     ClosureIT,
@@ -33,9 +34,7 @@ from .machines import (
     initial_gs,
     initial_it,
     run,
-    step_ct,
-    step_gs,
-    step_it,
+    step,
 )
 from .gen import gen_ct_db, gen_gs_db, gen_named_ct, gen_named_gs
 from .parser import parse, parse_ct, parse_gs

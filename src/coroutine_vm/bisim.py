@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .machines import (
+    BY_STATE,
     CALCULUS,
     ClosureCT,
     ClosureGS,
@@ -57,9 +58,7 @@ from .machines import (
     initial_gs,
     initial_it,
     resolve_max_steps,
-    step_ct,
-    step_gs,
-    step_it,
+    step,
 )
 from .plist import NIL, PList
 from .terms import App, Catch, Lam, TermGS, Throw, Var, print_term
@@ -367,12 +366,12 @@ class LockstepReport:
 
 def describe_state(s: State) -> str:
     """One-line state summary for divergence reports, its term in the machine's calculus."""
-    if isinstance(s, StateCT):
-        machine, shape = "ct", f"env={len(s.env)} labels={len(s.mu_env)} stack={len(s.stack)}"
-    elif isinstance(s, StateGS):
-        machine, shape = "gs", f"lenv={len(s.lenv)} labels={len(s.lenv_mu)}/{len(s.mu_env)} stack={len(s.stack)}"
+    machine, _ = BY_STATE[type(s)]
+    if machine == "ct":
+        shape = f"env={len(s.env)} labels={len(s.mu_env)} stack={len(s.stack)}"
+    elif machine == "gs":
+        shape = f"lenv={len(s.lenv)} labels={len(s.lenv_mu)}/{len(s.mu_env)} stack={len(s.stack)}"
     else:
-        machine = "it"
         shape = (
             f"depth={s.depth} vec={list(s.vec)} table=[{len(s.table)} vecs] "
             f"env={len(s.env)} labels={len(s.mu_env)} stack={len(s.stack)}"
@@ -420,11 +419,11 @@ def lockstep(t: TermGS, pair: str = "composed", max_steps: int | None = None) ->
         if len(ct_rules) != 1 or len(gs_rules) != 1 or len(it_rules) != 1:
             return _not_one_rule(pair, i, ((ct, ct_rules), (gs, gs_rules), (it, it_rules)))
 
-        it_rule, it_next = step_it(it)
+        it_rule, it_next = step(it)
         if ct is not None:
-            ct_rule, ct_next = step_ct(ct)
+            ct_rule, ct_next = step(ct)
         if gs is not None:
-            gs_rule, gs_next = step_gs(gs)
+            gs_rule, gs_next = step(gs)
         # Unless a run ends or a step returned a rule other than the one
         # that applies, every run goes on: nothing more to check.
         if (it_rule in _HALTS or ct_rule in _HALTS or gs_rule in _HALTS

@@ -16,7 +16,6 @@ byte-for-byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import random
@@ -27,7 +26,7 @@ from . import bisim as bisim_mod
 from . import gen as gen_mod
 from .debruijn import to_debruijn_ct, to_debruijn_gs
 from .errors import WorkbenchError
-from .machines import CALCULUS, DEFAULT_MAX_STEPS, MAX_STEPS_ENV_VAR, RunResult, TraceEvent, run
+from .machines import CALCULUS, DEFAULT_MAX_STEPS, MAX_STEPS_ENV_VAR, RunResult, run
 from .parser import parse
 from .safety import is_safe, safe_db, safe_named
 from .terms import print_term
@@ -59,14 +58,10 @@ def _load(path: Path, calculus: str):
     return parse(text, calculus)
 
 
-def _event_json(event: TraceEvent) -> str:
-    return json.dumps(dataclasses.asdict(event), sort_keys=True, separators=(",", ":"))
-
-
 def _print_events(events, fmt: str):
     for event in events or ():
         if fmt == "json":
-            print(_event_json(event))
+            print(event.to_json())
         else:
             print(
                 f"step {event.step:>4}  {event.machine}  {event.rule:<13} "
@@ -279,9 +274,6 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RecursionError:  # gen still recurses
-        print("error: term nested too deeply", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError:  # the reader went away; keep the flush at exit quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -17,6 +17,7 @@ Binder names are globally distinct within one term (x0, x1, ... / k0, k1,
 from __future__ import annotations
 
 import random
+from itertools import count
 
 from .debruijn import to_debruijn_ct, to_debruijn_gs
 from .terms import (
@@ -41,75 +42,75 @@ def _pick(rng: random.Random, choices: list[tuple[str, int]]) -> str:
     return rng.choices(names, weights=weights, k=1)[0]
 
 
-class _Names:
-    def __init__(self):
-        self.vars = 0
-        self.labels = 0
+def _gen_named(rng, size, safe_only):
+    """Shared generator for the named terms: draws in pre-order on an explicit stack.
 
-    def var(self) -> str:
-        self.vars += 1
-        return f"x{self.vars - 1}"
-
-    def label(self) -> str:
-        self.labels += 1
-        return f"k{self.labels - 1}"
-
-
-def _gen_named(rng, size, names, visible, bound, labels, safe_only):
-    """Shared recursion for the named generators.
-
-    visible: names visible in the current coroutine (newest first).
-    bound: every Lam binder in scope (what unsafe-ok variables draw from).
-    labels: (label, visible-snapshot) pairs, newest first.
+    A subterm still to draw is (size, visible, bound, labels): the names
+    visible in the current coroutine, every Lam binder in scope (what
+    unsafe-ok variables draw from) and the (label, visible-snapshot) pairs,
+    each newest first. Each node drawn is recorded as (constructor, name),
+    and the term is built from the records in reverse.
     """
-    var_pool = visible if safe_only else bound
-    choices = []
-    if var_pool:
-        choices.append(("var", _W_VAR))
-    if size >= 3:
-        choices.append(("app", _W_APP))
-    if size >= 2:
-        choices.append(("lam", _W_LAM))
-        choices.append(("capture", _W_CAPTURE))
-        if labels:
-            choices.append(("restore", _W_RESTORE))
-    if not choices or (size <= 1 and var_pool):
+    var_ids, label_ids = count(), count()
+    drawn = []
+    todo = [(size, (), (), ())]
+    while todo:
+        size, visible, bound, labels = todo.pop()
+        var_pool = visible if safe_only else bound
+        choices = []
         if var_pool:
-            return NVar(rng.choice(var_pool))
-        choices = [("lam", 1)]  # no binder in scope yet: introduce one
+            choices.append(("var", _W_VAR))
+        if size >= 3:
+            choices.append(("app", _W_APP))
+        if size >= 2:
+            choices.append(("lam", _W_LAM))
+            choices.append(("capture", _W_CAPTURE))
+            if labels:
+                choices.append(("restore", _W_RESTORE))
+        if not choices or (size <= 1 and var_pool):
+            if var_pool:
+                drawn.append((NVar, rng.choice(var_pool)))
+                continue
+            choices = [("lam", 1)]  # no binder in scope yet: introduce one
 
-    match _pick(rng, choices):
-        case "var":
-            return NVar(rng.choice(var_pool))
-        case "app":
-            left = rng.randint(1, size - 2)
-            fn = _gen_named(rng, left, names, visible, bound, labels, safe_only)
-            arg = _gen_named(rng, size - 1 - left, names, visible, bound, labels, safe_only)
-            return NApp(fn, arg)
-        case "lam":
-            param = names.var()
-            body = _gen_named(rng, size - 1, names, (param,) + visible, (param,) + bound, labels, safe_only)
-            return NLam(param, body)
-        case "capture":
-            label = names.label()
-            body = _gen_named(rng, size - 1, names, visible, bound, ((label, visible),) + labels, safe_only)
-            return NCatch(label, body)
-        case "restore":
-            label, snapshot = labels[rng.randrange(len(labels))]
-            restored = snapshot if safe_only else visible
-            body = _gen_named(rng, size - 1, names, restored, bound, labels, safe_only)
-            return NThrow(label, body)
-    raise AssertionError("unreachable")
+        match _pick(rng, choices):
+            case "var":
+                drawn.append((NVar, rng.choice(var_pool)))
+            case "app":
+                left = rng.randint(1, size - 2)
+                drawn.append((NApp, None))
+                todo.append((size - 1 - left, visible, bound, labels))  # the argument, drawn after the function
+                todo.append((left, visible, bound, labels))
+            case "lam":
+                param = f"x{next(var_ids)}"
+                drawn.append((NLam, param))
+                todo.append((size - 1, (param,) + visible, (param,) + bound, labels))
+            case "capture":
+                label = f"k{next(label_ids)}"
+                drawn.append((NCatch, label))
+                todo.append((size - 1, visible, bound, ((label, visible),) + labels))
+            case "restore":
+                label, snapshot = labels[rng.randrange(len(labels))]
+                drawn.append((NThrow, label))
+                todo.append((size - 1, snapshot if safe_only else visible, bound, labels))
+
+    built = []  # a node's parts are on top when its record comes up
+    for cls, name in reversed(drawn):
+        if cls is NApp:
+            built.append(NApp(built.pop(), built.pop()))  # the function is on top
+        else:
+            built.append(cls(name) if cls is NVar else cls(name, built.pop()))
+    return built.pop()
 
 
 def gen_named_ct(rng: random.Random, size: int, unsafe_ok: bool = False) -> NamedTermCT:
     """A closed named catch/throw term; with unsafe_ok, safety is not enforced."""
-    return _gen_named(rng, max(1, size), _Names(), (), (), (), safe_only=not unsafe_ok)
+    return _gen_named(rng, max(1, size), safe_only=not unsafe_ok)
 
 
 def gen_named_gs(rng: random.Random, size: int) -> NamedTermGS:
     """A closed, visibility-respecting named getctx/setctx term."""
-    return _gen_named(rng, max(1, size), _Names(), (), (), (), safe_only=True)
+    return _gen_named(rng, max(1, size), safe_only=True)
 
 
 def gen_gs_db(rng: random.Random, size: int) -> TermGS:

@@ -16,14 +16,16 @@ The calculi share one syntax, so the machine, not the term, says which
 indexing a term uses: CALCULUS maps each machine to the calculus it runs and
 prints. The CLI takes the calculus from the file extension.
 
-Each machine is one rule table: a dict from term class to a rule
+Each machine is one entry of MACHINES: its state class, its initial-state
+builder and its rule table, a dict from term class to a rule
 (state, term) -> (rule, successor), with every rule written once. The rule
 is one of the RULE_* tags naming the rule applied, and the successor is the
 next state for a transition, the value closure for RULE_FINAL, or the reason
-string for RULE_STUCK. step_ct/step_gs/step_it look up the exact class of the
-state's term, type(term), so a subclass of a term class has no rule and
-raises TypeError. run looks up the same table itself and so saves a call per
-step. applicable_rules is written from the rules' guards and never reads the
+string for RULE_STUCK. step serves all three machines: the exact class of the
+state picks the rule table, and the exact class of its term, type(term), the
+rule, so a subclass of a state or term class has no rule and raises
+TypeError. run looks up the same table itself and so saves a call per step.
+applicable_rules is written from the rules' guards and never reads the
 tables: it is the independent oracle that the determinism checks hold the
 tables to.
 
@@ -40,6 +42,7 @@ head is a subterm of the input.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -175,7 +178,7 @@ Step = tuple[str, Union[State, Closure, str]]  # (rule, successor)
 Rule = Callable[[State, Term], Step]  # (state, state.term) -> (rule, successor)
 
 # ---------------------------------------------------------------------------
-# Transition rules: one table per machine, from term class to rule
+# Transition rules
 # ---------------------------------------------------------------------------
 
 
@@ -270,46 +273,6 @@ def _it_set(s: StateIT, t: Throw) -> Step:
         return RULE_STUCK, UNBOUND_MU
     return RULE_RESTORE, StateIT(t.body, s.depth, s.table[t.label], s.table, s.env, s.mu_env, s.mu_env[t.label])
 
-
-CT_RULES: dict[type, Rule] = {Var: _ct_var, App: _ct_app, Lam: _ct_lam, Catch: _ct_catch, Throw: _ct_throw}
-GS_RULES: dict[type, Rule] = {Var: _gs_var, App: _gs_app, Lam: _gs_lam, Catch: _gs_get, Throw: _gs_set}
-IT_RULES: dict[type, Rule] = {Var: _it_var, App: _it_app, Lam: _it_lam, Catch: _it_get, Throw: _it_set}
-
-# The calculus each machine runs: the one that prints its terms.
-CALCULUS = {"ct": "ct", "gs": "gs", "it": "gs"}
-
-
-def _not_a_term(machine: str, term: object) -> TypeError:
-    capture, restore, _, _ = KEYWORDS[CALCULUS[machine]]
-    return TypeError(f"not a {capture}/{restore} term: {term!r}")
-
-
-def step_ct(s: StateCT) -> Step:
-    t = s.term
-    try:
-        rule = CT_RULES[type(t)]
-    except KeyError:
-        raise _not_a_term("ct", t) from None
-    return rule(s, t)
-
-
-def step_gs(s: StateGS) -> Step:
-    t = s.term
-    try:
-        rule = GS_RULES[type(t)]
-    except KeyError:
-        raise _not_a_term("gs", t) from None
-    return rule(s, t)
-
-
-def step_it(s: StateIT) -> Step:
-    t = s.term
-    try:
-        rule = IT_RULES[type(t)]
-    except KeyError:
-        raise _not_a_term("it", t) from None
-    return rule(s, t)
-
 # ---------------------------------------------------------------------------
 # Initial states
 # ---------------------------------------------------------------------------
@@ -331,6 +294,40 @@ def initial_it(t: TermGS) -> StateIT:
     if not is_scoped_gs(t):
         raise OpenTermError("it machine needs a closed, well-scoped term")
     return StateIT(t, 0, NIL, NIL, NIL, NIL, NIL)
+
+# ---------------------------------------------------------------------------
+# The machines: one table, one step function
+# ---------------------------------------------------------------------------
+
+# Each machine by name: its state class, initial-state builder and rule table.
+MACHINES: dict[str, tuple[type, Callable[[Term], State], dict[type, Rule]]] = {
+    "ct": (StateCT, initial_ct, {Var: _ct_var, App: _ct_app, Lam: _ct_lam, Catch: _ct_catch, Throw: _ct_throw}),
+    "gs": (StateGS, initial_gs, {Var: _gs_var, App: _gs_app, Lam: _gs_lam, Catch: _gs_get, Throw: _gs_set}),
+    "it": (StateIT, initial_it, {Var: _it_var, App: _it_app, Lam: _it_lam, Catch: _it_get, Throw: _it_set}),
+}
+# What step reads: each state class's machine and rule table.
+BY_STATE: dict[type, tuple[str, dict[type, Rule]]] = {cls: (name, rules) for name, (cls, _, rules) in MACHINES.items()}
+# The calculus each machine runs: the one that prints its terms.
+CALCULUS = {"ct": "ct", "gs": "gs", "it": "gs"}
+
+
+def _not_a_term(machine: str, term: object) -> TypeError:
+    capture, restore, _, _ = KEYWORDS[CALCULUS[machine]]
+    return TypeError(f"not a {capture}/{restore} term: {term!r}")
+
+
+def step(s: State) -> Step:
+    """One transition of whichever machine s is a state of."""
+    try:
+        machine, rules = BY_STATE[type(s)]
+    except KeyError:
+        raise TypeError(f"not a machine state: {s!r}") from None
+    t = s.term
+    try:
+        rule = rules[type(t)]
+    except KeyError:
+        raise _not_a_term(machine, t) from None
+    return rule(s, t)
 
 # ---------------------------------------------------------------------------
 # Guard-based rule oracle (for the determinism checks)
@@ -400,6 +397,12 @@ class TraceEvent:
     stack_depth: int
     mu_count: int
 
+    def to_json(self) -> str:
+        """The golden-trace line of this event: compact JSON with sorted keys."""
+        fields = {"head": self.head, "machine": self.machine, "mu_count": self.mu_count,
+                  "rule": self.rule, "stack_depth": self.stack_depth, "step": self.step}
+        return json.dumps(fields, sort_keys=True, separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -411,28 +414,19 @@ class RunResult:
     events: tuple[TraceEvent, ...] | None = None
 
 
-MACHINES: dict[str, tuple[Callable[..., State], Callable[[State], Step]]] = {
-    "ct": (initial_ct, step_ct),
-    "gs": (initial_gs, step_gs),
-    "it": (initial_it, step_it),
-}
-RULES: dict[str, dict[type, Rule]] = {"ct": CT_RULES, "gs": GS_RULES, "it": IT_RULES}
-
-
 def run(term: Term, machine: str, max_steps: int | None = None, collect_trace: bool = False) -> RunResult:
     """Iterate a machine from its initial state until final, stuck, or out of fuel.
 
     steps counts applied transitions; a term that is already a value finishes
     in 0 steps. The trace, when collected, has one event per transition plus a
     terminal final/stuck event (fuel exhaustion ends the trace without one).
-    Each step looks its rule up in the machine's table, as the step
-    function does, without calling the step function.
+    Each step looks its rule up in the machine's table, as step does,
+    without calling step.
     """
     if machine not in MACHINES:
         raise ValueError(f"unknown machine {machine!r} (expected 'ct', 'gs' or 'it')")
-    initial, _ = MACHINES[machine]
+    _, initial, rules = MACHINES[machine]
     state = initial(term)
-    rules = RULES[machine]
     calculus = CALCULUS[machine]
     fuel = resolve_max_steps(max_steps)
     events: list[TraceEvent] | None = [] if collect_trace else None

@@ -231,7 +231,7 @@ def is_closed_ct(t: TermCT) -> bool:
         node, lam_depth, label_depth = pop()
         cls = type(node)
         if cls is Var:
-            if node.index >= lam_depth:
+            if not 0 <= node.index < lam_depth:
                 return False
         elif cls is App:
             push((node.arg, lam_depth, label_depth))
@@ -241,7 +241,7 @@ def is_closed_ct(t: TermCT) -> bool:
         elif cls is Catch:
             push((node.body, lam_depth, label_depth + 1))
         elif cls is Throw:
-            if node.label >= label_depth:
+            if not 0 <= node.label < label_depth:
                 return False
             push((node.body, lam_depth, label_depth))
         else:
@@ -265,7 +265,7 @@ def is_scoped_gs(t: TermGS) -> bool:
         node, visible_len, snapshots = pop()
         cls = type(node)
         if cls is Var:
-            if node.index >= visible_len:
+            if not 0 <= node.index < visible_len:
                 return False
         elif cls is App:
             push((node.arg, visible_len, snapshots))

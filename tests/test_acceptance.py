@@ -23,9 +23,7 @@ from coroutine_vm.machines import (
     initial_gs,
     initial_it,
     run,
-    step_ct,
-    step_gs,
-    step_it,
+    step,
 )
 from coroutine_vm.parser import parse, parse_ct
 from coroutine_vm.safety import is_safe, safe_db, safe_named
@@ -151,13 +149,9 @@ def test_criterion_6_composed_lockstep(gs_corpus):
 
 def test_criterion_7_determinism_and_no_stuck(gs_corpus):
     def work():
-        machines = (
-            (lambda t: initial_it(t), step_it, lambda t: t),
-            (lambda t: initial_gs(t), step_gs, lambda t: t),
-            (lambda t: initial_ct(down(t)), step_ct, down),
-        )
+        initials = (initial_it, initial_gs, lambda t: initial_ct(down(t)))
         for term in gs_corpus:
-            for make_initial, step, _ in machines:
+            for make_initial in initials:
                 state = make_initial(term)
                 for _ in range(LOCKSTEP_FUEL + 1):
                     rules = applicable_rules(state)

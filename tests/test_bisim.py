@@ -11,6 +11,7 @@ from coroutine_vm.debruijn import to_debruijn_gs
 from coroutine_vm.errors import OpenTermError, WorkbenchError
 from coroutine_vm.gen import gen_ct_db, gen_gs_db
 from coroutine_vm.machines import (
+    MACHINES,
     RULE_FINAL,
     RULE_STUCK,
     ClosureCT,
@@ -24,9 +25,7 @@ from coroutine_vm.machines import (
     initial_gs,
     initial_it,
     run,
-    step_ct,
-    step_gs,
-    step_it,
+    step,
 )
 from coroutine_vm.parser import parse_gs
 from coroutine_vm.plist import NIL, plist
@@ -39,7 +38,7 @@ OMEGA = App(Lam(App(Var(0), Var(0))), Lam(App(Var(0), Var(0))))
 PING_PONG = to_debruijn_gs(parse_gs(r"(\x. x x) (\y. getctx k. setctx k (y y))"))
 
 
-def _trace(state, step):
+def _trace(state):
     states = [state]
     while True:
         rule, successor = step(states[-1])
@@ -79,8 +78,8 @@ def test_star_closure_after_one_bind():
 
 
 def test_star_relates_whole_demo_traces():
-    it_states = _trace(initial_it(GS_DEMO), step_it)
-    ct_states = _trace(initial_ct(down(GS_DEMO)), step_ct)
+    it_states = _trace(initial_it(GS_DEMO))
+    ct_states = _trace(initial_ct(down(GS_DEMO)))
     assert len(it_states) == len(ct_states) == 3
     memo = RelationMemo()
     for it_s, ct_s in zip(it_states, ct_states):
@@ -89,8 +88,8 @@ def test_star_relates_whole_demo_traces():
 
 
 def test_star_maps_stacks_elementwise():
-    it_states = _trace(initial_it(App(IDENT, IDENT)), step_it)
-    ct_states = _trace(initial_ct(down(App(IDENT, IDENT))), step_ct)
+    it_states = _trace(initial_it(App(IDENT, IDENT)))
+    ct_states = _trace(initial_ct(down(App(IDENT, IDENT))))
     k = next(k for k, s in enumerate(it_states) if len(s.stack) > 0)
     assert R_star(it_states[k], ct_states[k])
     assert not R_star(it_states[k], replace(ct_states[k], stack=ct_states[k].stack.tail))
@@ -158,8 +157,8 @@ def test_diamond_of_initial_state_is_initial_gs_state():
 
 
 def test_diamond_relates_whole_demo_traces():
-    it_states = _trace(initial_it(GS_DEMO), step_it)
-    gs_states = _trace(initial_gs(GS_DEMO), step_gs)
+    it_states = _trace(initial_it(GS_DEMO))
+    gs_states = _trace(initial_gs(GS_DEMO))
     assert len(it_states) == len(gs_states) == 3
     memo = RelationMemo()
     for it_s, gs_s in zip(it_states, gs_states):
@@ -168,11 +167,11 @@ def test_diamond_relates_whole_demo_traces():
 
 
 def test_diamond_after_lam_bind():
-    it_states = _trace(initial_it(App(IDENT, IDENT)), step_it)
+    it_states = _trace(initial_it(App(IDENT, IDENT)))
     bound = it_states[2]  # after the lam rule
     assert bound.depth == 1
     gs_bound = StateGS(bound.term, plist([ClosureGS(IDENT, NIL, NIL, NIL)]), NIL, NIL, NIL)
-    assert gs_bound == _trace(initial_gs(App(IDENT, IDENT)), step_gs)[2]
+    assert gs_bound == _trace(initial_gs(App(IDENT, IDENT)))[2]
     assert R_diamond(bound, gs_bound)
     assert not R_diamond(bound, replace(gs_bound, lenv=NIL))
 
@@ -193,8 +192,8 @@ def test_diamond_rejects_an_extra_label_environment():
     # one lenv_mu entry per table vector: an extra local environment, with
     # the label stacks left as they are, is not related, before a getctx
     # (empty table) and after one
-    it_states = _trace(initial_it(GS_DEMO), step_it)
-    gs_states = _trace(initial_gs(GS_DEMO), step_gs)
+    it_states = _trace(initial_it(GS_DEMO))
+    gs_states = _trace(initial_gs(GS_DEMO))
     for k in (0, 1):  # state 1 is the one the getctx made
         it_s, gs_s = it_states[k], gs_states[k]
         assert len(it_s.table) == len(gs_s.lenv_mu) == len(gs_s.mu_env) == k
@@ -208,9 +207,9 @@ def test_state_maps_are_functional():
     rng = random.Random(77)
     for _ in range(20):
         term = gen_gs_db(rng, rng.randint(3, 30))
-        it_states = _trace(initial_it(term), step_it)[:20]
-        ct_states = _trace(initial_ct(down(term)), step_ct)[:20]
-        gs_states = _trace(initial_gs(term), step_gs)[:20]
+        it_states = _trace(initial_it(term))[:20]
+        ct_states = _trace(initial_ct(down(term)))[:20]
+        gs_states = _trace(initial_gs(term))[:20]
         shared = RelationMemo()
         for it_s, ct_s, gs_s in zip(it_states, ct_states, gs_states):
             assert R_star(it_s, ct_s, RelationMemo()) and R_star(it_s, ct_s, RelationMemo())
@@ -239,12 +238,12 @@ def test_a_binder_step_reproves_only_its_new_pairs():
     term = to_debruijn_gs(parse_gs("(" + "".join(f"\\x{i}. " for i in range(n)) + "x0)" + " (\\z. z)" * n))
     it, ct, gs = initial_it(term), initial_ct(down(term)), initial_gs(term)
     while it.depth < n - 1 or type(it.term) is not Lam:
-        (_, it), (_, ct), (_, gs) = step_it(it), step_ct(ct), step_gs(gs)
+        (_, it), (_, ct), (_, gs) = step(it), step(ct), step(gs)
     assert len(it.vec) == n - 1 and len(it.stack) == 1
     memo = RelationMemo()
     assert R_star(it, ct, memo) and R_diamond(it, gs, memo)
     before = len(memo.young)
-    (_, it), (_, ct), (_, gs) = step_it(it), step_ct(ct), step_gs(gs)
+    (_, it), (_, ct), (_, gs) = step(it), step(ct), step(gs)
     assert len(it.vec) == n
     assert R_star(it, ct, memo) and R_diamond(it, gs, memo)
     assert len(memo.young) - before < 10
@@ -345,16 +344,17 @@ def test_lockstep_random_terms_all_related():
 def test_lockstep_detects_tampered_machine(monkeypatch):
     # drop a stack entry mid-run: the checker must flag the divergence
     calls = {"n": 0}
-    genuine = bisim.step_ct
 
     def tampered(state):
+        rule, s = step(state)
+        if type(state) is not StateCT:
+            return rule, s
         calls["n"] += 1
-        rule, s = genuine(state)
         if calls["n"] == 3 and rule not in (RULE_FINAL, RULE_STUCK) and s.stack:
             return rule, StateCT(s.term, s.env, s.mu_env, s.stack.tail)
         return rule, s
 
-    monkeypatch.setattr(bisim, "step_ct", tampered)
+    monkeypatch.setattr(bisim, "step", tampered)
     term = App(App(IDENT, IDENT), App(IDENT, IDENT))
     report = lockstep(term, "star", 100)
     assert report.outcome == "diverged"
@@ -365,36 +365,39 @@ def test_lockstep_detects_tampered_machine(monkeypatch):
 
 def test_lockstep_detects_early_halt(monkeypatch):
     calls = {"n": 0}
-    genuine = bisim.step_gs
 
     def early_final(state):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            return RULE_FINAL, state.closure()
-        return genuine(state)
+        if type(state) is StateGS:
+            calls["n"] += 1
+            if calls["n"] == 2:
+                return RULE_FINAL, state.closure()
+        return step(state)
 
-    monkeypatch.setattr(bisim, "step_gs", early_final)
+    monkeypatch.setattr(bisim, "step", early_final)
     report = lockstep(GS_DEMO, "diamond", 100)
     assert report.outcome == "diverged"
     assert report.diverged_at == 1
     assert "did not end the same way" in report.detail
 
 
-def _fault_at_call(genuine, at, fault):
-    # call number `at` of a step function steps state `at - 1`: replace its (rule, successor)
+def _fault_at_call(machine, at, fault, inner=step):
+    # call number `at` on a state of `machine` steps its state `at - 1`: replace its (rule, successor);
+    # every other call, on any machine, goes to inner unchanged
     calls = {"n": 0}
 
-    def step(state):
+    def faulty(state):
+        rule, successor = inner(state)
+        if type(state) is not MACHINES[machine][0]:
+            return rule, successor
         calls["n"] += 1
-        rule, successor = genuine(state)
         return fault(rule, successor) if calls["n"] == at else (rule, successor)
 
-    return step
+    return faulty
 
 
 def test_lockstep_reports_both_machines_stuck(monkeypatch):
-    monkeypatch.setattr(bisim, "step_it", _fault_at_call(step_it, 2, lambda *_: (RULE_STUCK, "it-reason")))
-    monkeypatch.setattr(bisim, "step_gs", _fault_at_call(step_gs, 2, lambda *_: (RULE_STUCK, "gs-reason")))
+    it_stuck = _fault_at_call("it", 2, lambda *_: (RULE_STUCK, "it-reason"))
+    monkeypatch.setattr(bisim, "step", _fault_at_call("gs", 2, lambda *_: (RULE_STUCK, "gs-reason"), it_stuck))
     report = lockstep(GS_DEMO, "diamond", 100)
     assert report.outcome == "diverged"
     assert report.diverged_at == report.steps_checked == 1
@@ -407,12 +410,12 @@ def test_lockstep_composed_reports_earliest_divergence(monkeypatch):
         return lambda rule, s: (rule, replace(s, stack=s.stack.cons(extra)))
 
     ct_fault = extra_stack_entry(initial_ct(down(IDENT)).closure())
-    monkeypatch.setattr(bisim, "step_ct", _fault_at_call(step_ct, 4, ct_fault))
+    monkeypatch.setattr(bisim, "step", _fault_at_call("ct", 4, ct_fault))
     alone = lockstep(OMEGA, "composed", 50)
     assert (alone.diverged_at, alone.detail) == (4, "it-state image differs from ct state at step 4")
 
-    monkeypatch.setattr(bisim, "step_ct", _fault_at_call(step_ct, 4, ct_fault))
-    monkeypatch.setattr(bisim, "step_gs", _fault_at_call(step_gs, 2, extra_stack_entry(initial_gs(IDENT).closure())))
+    gs_fault = extra_stack_entry(initial_gs(IDENT).closure())
+    monkeypatch.setattr(bisim, "step", _fault_at_call("gs", 2, gs_fault, _fault_at_call("ct", 4, ct_fault)))
     report = lockstep(OMEGA, "composed", 50)
     assert report.outcome == "diverged"
     assert report.diverged_at == report.steps_checked == 2
@@ -422,32 +425,31 @@ def test_lockstep_composed_reports_earliest_divergence(monkeypatch):
 @pytest.mark.parametrize("machine, pair", [("ct", "star"), ("gs", "diamond"), ("gs", "composed"), ("it", "composed")])
 def test_lockstep_checks_the_rule_each_step_returns(monkeypatch, machine, pair):
     # every var step tagged as app: the states stay right, only the returned rule is wrong
-    genuine = {"ct": step_ct, "gs": step_gs, "it": step_it}[machine]
-
     def mistagged(state):
-        rule, successor = genuine(state)
+        rule, successor = step(state)
+        if type(state) is not MACHINES[machine][0]:
+            return rule, successor
         return ("app" if rule == "var" else rule), successor
 
-    monkeypatch.setattr(bisim, f"step_{machine}", mistagged)
+    monkeypatch.setattr(bisim, "step", mistagged)
     report = lockstep(OMEGA, pair, 50)
     assert report.outcome == "diverged"
     assert report.diverged_at == report.steps_checked == 3  # omega: app, lam, app, then var
     assert report.detail == f"{machine} step returned rule app where rule var applies at step 3"
     state = {"ct": initial_ct(down(OMEGA)), "gs": initial_gs(OMEGA), "it": initial_it(OMEGA)}[machine]
     for _ in range(3):
-        state = genuine(state)[1]
+        state = step(state)[1]
     assert (report.left, report.right) == (bisim.describe_state(state), f"{machine} step: app")
 
 
 @pytest.mark.parametrize("machine, found", [("ct", 2), ("gs", 0), ("it", 2)])
 def test_lockstep_requires_exactly_one_applicable_rule(monkeypatch, machine, found):
     # the oracle finds a second rule, or none, for the machine's state at step 4
-    state_type = {"ct": StateCT, "gs": StateGS, "it": StateIT}[machine]
     calls = {"n": 0}
 
     def oracle(state):
         rules = applicable_rules(state)
-        if type(state) is state_type:
+        if type(state) is MACHINES[machine][0]:
             calls["n"] += 1
             if calls["n"] == 5:
                 return (rules + [RULE_STUCK])[:found]
@@ -460,7 +462,6 @@ def test_lockstep_requires_exactly_one_applicable_rule(monkeypatch, machine, fou
     assert report.detail == "rule dispatch was not deterministic"
     assert report.right == f"{found} rules apply"
     state = {"ct": initial_ct(down(OMEGA)), "gs": initial_gs(OMEGA), "it": initial_it(OMEGA)}[machine]
-    step = {"ct": step_ct, "gs": step_gs, "it": step_it}[machine]
     for _ in range(4):
         state = step(state)[1]
     assert report.left == bisim.describe_state(state)
@@ -494,16 +495,15 @@ def _field_fault(machine, field):
     ],
 )
 def test_lockstep_reports_the_faulted_step(monkeypatch, machine, field, pair, partner):
-    genuine = {"ct": step_ct, "gs": step_gs, "it": step_it}[machine]
     fault = _field_fault(machine, field)
-    monkeypatch.setattr(bisim, f"step_{machine}", _fault_at_call(genuine, 6, fault))
+    monkeypatch.setattr(bisim, "step", _fault_at_call(machine, 6, fault))
     report = lockstep(OMEGA, pair, 50)
     assert report.outcome == "diverged"
     assert report.diverged_at == report.steps_checked == 6
     assert report.detail == f"it-state image differs from {partner} state at step 6"
     states = [initial_it(OMEGA)]
     for _ in range(6):
-        states.append(step_it(states[-1])[1])
+        states.append(step(states[-1])[1])
     it_state = fault(None, states[6])[1] if machine == "it" else states[6]
     assert report.left == bisim.describe_state(it_state)
 
@@ -516,8 +516,7 @@ def test_memo_aging_hides_no_fault(monkeypatch, machine, field, pair, partner):
     # Eight steps per generation: the memo ages at steps 0, 8, 16 and 24, so
     # step 30 reads many pairs from the old generation and promotes them.
     monkeypatch.setattr(bisim, "_MEMO_GENERATION", 8)
-    genuine = {"ct": step_ct, "gs": step_gs, "it": step_it}[machine]
-    monkeypatch.setattr(bisim, f"step_{machine}", _fault_at_call(genuine, 30, _field_fault(machine, field)))
+    monkeypatch.setattr(bisim, "step", _fault_at_call(machine, 30, _field_fault(machine, field)))
     report = lockstep(PING_PONG, pair, 50)
     assert report.outcome == "diverged"
     assert report.diverged_at == report.steps_checked == 30

@@ -67,3 +67,26 @@ def test_ct_db_closed_by_construction():
         assert is_closed_ct(term)
         verdicts.add(safe_db(term))
     assert verdicts == {True, False}
+
+
+class _AlwaysLam(random.Random):
+    """Draws a binder whenever one may be drawn, so a term of size n nests n - 1 of them."""
+
+    def choices(self, population, weights=None, *, cum_weights=None, k=1):
+        if "lam" in population:
+            return ["lam"] * k
+        return super().choices(population, weights, cum_weights=cum_weights, k=k)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [gen_named_gs, gen_named_ct, lambda rng, size: gen_named_ct(rng, size, unsafe_ok=True)],
+    ids=["gs", "ct", "ct-unsafe-ok"],
+)
+def test_a_deep_draw_needs_no_recursion(generate):
+    term = generate(_AlwaysLam(0), 5001)
+    depth = 0
+    while type(term) is NLam:
+        assert term.param == f"x{depth}"
+        term, depth = term.body, depth + 1
+    assert depth == 5000 and type(term) is NVar

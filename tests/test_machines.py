@@ -30,9 +30,7 @@ from coroutine_vm.machines import (
     initial_gs,
     initial_it,
     run,
-    step_ct,
-    step_gs,
-    step_it,
+    step,
 )
 from coroutine_vm.parser import parse, parse_ct, parse_gs
 from coroutine_vm.plist import NIL, plist
@@ -45,47 +43,47 @@ GS_DEMO = Catch(Throw(0, Lam(Var(0))))
 
 def test_ct_demo_hand_trace():
     s0 = initial_ct(CT_DEMO)
-    rule, s1 = step_ct(s0)
+    rule, s1 = step(s0)
     assert rule == RULE_CAPTURE
     assert s1 == StateCT(Throw(0, Lam(Var(0))), NIL, plist([NIL]), NIL)
-    rule, s2 = step_ct(s1)
+    rule, s2 = step(s1)
     assert rule == RULE_RESTORE
     assert s2 == StateCT(Lam(Var(0)), NIL, plist([NIL]), NIL)
-    end = step_ct(s2)
+    end = step(s2)
     assert end == (RULE_FINAL, ClosureCT(Lam(Var(0)), NIL, plist([NIL])))
 
 
 def test_gs_demo_hand_trace():
     s0 = initial_gs(GS_DEMO)
-    rule, s1 = step_gs(s0)
+    rule, s1 = step(s0)
     assert rule == RULE_CAPTURE
     assert s1 == StateGS(Throw(0, Lam(Var(0))), NIL, plist([NIL]), plist([NIL]), NIL)
-    rule, s2 = step_gs(s1)
+    rule, s2 = step(s1)
     assert rule == RULE_RESTORE
     assert s2 == StateGS(Lam(Var(0)), NIL, plist([NIL]), plist([NIL]), NIL)
-    assert step_gs(s2)[0] == RULE_FINAL
+    assert step(s2)[0] == RULE_FINAL
 
 
 def test_it_application_hand_trace():
     ident = Lam(Var(0))
     s0 = initial_it(App(ident, ident))
     arg_closure = ClosureIT(ident, 0, NIL, NIL, NIL, NIL)
-    rule, s1 = step_it(s0)
+    rule, s1 = step(s0)
     assert rule == RULE_APP
     assert s1 == StateIT(ident, 0, NIL, NIL, NIL, NIL, plist([arg_closure]))
-    rule, s2 = step_it(s1)
+    rule, s2 = step(s1)
     assert rule == RULE_LAM
     assert s2 == StateIT(Var(0), 1, plist([1]), NIL, plist([arg_closure]), NIL, NIL)
-    rule, s3 = step_it(s2)
+    rule, s3 = step(s2)
     assert rule == RULE_VAR
     assert s3 == StateIT(ident, 0, NIL, NIL, NIL, NIL, NIL)
-    assert step_it(s3)[0] == RULE_FINAL
+    assert step(s3)[0] == RULE_FINAL
 
 
 def test_ct_application_rule_shape():
     env = plist([ClosureCT(Lam(Var(0)), NIL, NIL)])
     state = StateCT(App(Var(0), Var(0)), env, NIL, NIL)
-    rule, out = step_ct(state)
+    rule, out = step(state)
     assert rule == RULE_APP
     assert out.term == Var(0)
     assert out.stack.head == ClosureCT(Var(0), env, NIL)
@@ -95,7 +93,7 @@ def test_ct_application_rule_shape():
 def test_gs_capture_rule_pushes_both_maps():
     stack = plist([ClosureGS(Lam(Var(0)), NIL, NIL, NIL)])
     state = StateGS(Catch(Var(0)), NIL, NIL, NIL, stack)
-    _, out = step_gs(state)
+    _, out = step(state)
     assert out.lenv_mu.head is state.lenv
     assert out.mu_env.head is stack
     assert out.stack is stack
@@ -104,7 +102,7 @@ def test_gs_capture_rule_pushes_both_maps():
 def test_it_lam_rule_threads_depth():
     c = ClosureIT(Lam(Var(0)), 0, NIL, NIL, NIL, NIL)
     state = StateIT(Lam(Var(0)), 3, plist([3, 1]), NIL, plist([c]), NIL, plist([c]))
-    _, out = step_it(state)
+    _, out = step(state)
     assert out.depth == 4
     assert list(out.vec) == [4, 3, 1]
     assert out.env.head is c
@@ -112,19 +110,19 @@ def test_it_lam_rule_threads_depth():
 
 
 def test_final_only_on_lam_with_empty_stack():
-    assert step_ct(StateCT(Lam(Var(0)), NIL, NIL, NIL))[0] == RULE_FINAL
+    assert step(StateCT(Lam(Var(0)), NIL, NIL, NIL))[0] == RULE_FINAL
     pushed = plist([ClosureCT(Lam(Var(0)), NIL, NIL)])
-    assert step_ct(StateCT(Lam(Var(0)), NIL, NIL, pushed))[0] == RULE_LAM
+    assert step(StateCT(Lam(Var(0)), NIL, NIL, pushed))[0] == RULE_LAM
 
 
 def test_stuck_reasons():
-    assert step_ct(StateCT(Var(3), NIL, NIL, NIL)) == (RULE_STUCK, "unbound_var")
-    assert step_ct(StateCT(Throw(0, Lam(Var(0))), NIL, NIL, NIL)) == (RULE_STUCK, "unbound_mu")
-    assert step_gs(StateGS(Var(0), NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_var")
-    assert step_gs(StateGS(Throw(0, Var(0)), NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_mu")
-    assert step_it(StateIT(Var(0), 0, NIL, NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_var")
+    assert step(StateCT(Var(3), NIL, NIL, NIL)) == (RULE_STUCK, "unbound_var")
+    assert step(StateCT(Throw(0, Lam(Var(0))), NIL, NIL, NIL)) == (RULE_STUCK, "unbound_mu")
+    assert step(StateGS(Var(0), NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_var")
+    assert step(StateGS(Throw(0, Var(0)), NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_mu")
+    assert step(StateIT(Var(0), 0, NIL, NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_var")
     # vector entry resolving outside the environment is also an unbound variable
-    assert step_it(StateIT(Var(0), 2, plist([1]), NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_var")
+    assert step(StateIT(Var(0), 2, plist([1]), NIL, NIL, NIL, NIL)) == (RULE_STUCK, "unbound_var")
 
 
 def test_initial_rejects_open_terms():
@@ -145,6 +143,18 @@ def test_initial_ct_rejects_a_variable_out_of_range_under_a_binder():
         initial_ct(Lam(Var(1)))
     with pytest.raises(OpenTermError):
         initial_ct(Lam(Catch(Throw(1, Var(0)))))
+
+
+NEGATIVE_VAR = App(Lam(Var(-1)), Lam(Var(0)))
+NEGATIVE_LABEL = Catch(Throw(-1, Lam(Var(0))))
+
+
+@pytest.mark.parametrize("machine", ["ct", "gs", "it"])
+@pytest.mark.parametrize("term", [NEGATIVE_VAR, NEGATIVE_LABEL], ids=["variable", "label"])
+def test_negative_index_or_label_is_an_open_term(machine, term):
+    # out of range like one past the end: the scope check refuses the term before a rule indexes with it
+    with pytest.raises(OpenTermError):
+        run(term, machine, max_steps=10)
 
 
 def test_run_counts_transitions():
@@ -184,16 +194,12 @@ def test_run_is_deterministic():
 
 
 def test_exactly_one_rule_applies_in_reachable_states():
-    # the guard-based oracle and the step functions' own dispatch agree
+    # the guard-based oracle and step's own dispatch agree
     rng = random.Random(4)
-    machines = (
-        (lambda t: initial_gs(t), step_gs),
-        (lambda t: initial_it(t), step_it),
-        (lambda t: initial_ct(down(t)), step_ct),
-    )
+    initials = (initial_gs, initial_it, lambda t: initial_ct(down(t)))
     for _ in range(50):
         term = gen_gs_db(rng, rng.randint(1, 30))
-        for make_initial, step in machines:
+        for make_initial in initials:
             state = make_initial(term)
             for _ in range(100):
                 assert len(applicable_rules(state)) == 1
@@ -211,7 +217,7 @@ def test_rerun_from_saved_state_reproduces_suffix():
     state = initial_gs(term)
     states = [state]
     while True:
-        rule, successor = step_gs(state)
+        rule, successor = step(state)
         if rule in (RULE_FINAL, RULE_STUCK):
             break
         state = successor
@@ -221,7 +227,7 @@ def test_rerun_from_saved_state_reproduces_suffix():
     replay = [saved]
     state = saved
     while True:
-        rule, successor = step_gs(state)
+        rule, successor = step(state)
         if rule in (RULE_FINAL, RULE_STUCK):
             break
         state = successor
@@ -277,7 +283,7 @@ def test_step_functions_reject_terms_of_the_other_calculus(machine, term, messag
         "it": StateIT(term, 0, NIL, NIL, NIL, NIL, NIL),
     }[machine]
     with pytest.raises(TypeError) as raised:
-        MACHINES[machine][1](state)
+        step(state)
     assert str(raised.value) == message
 
 
@@ -286,9 +292,18 @@ def test_rules_dispatch_on_the_exact_term_class():
         __slots__ = ()
 
     with pytest.raises(TypeError, match=r"^not a catch/throw term: .*MyVar\(index=0\)$"):
-        step_ct(StateCT(MyVar(0), plist([ClosureCT(Lam(Var(0)), NIL, NIL)]), NIL, NIL))
+        step(StateCT(MyVar(0), plist([ClosureCT(Lam(Var(0)), NIL, NIL)]), NIL, NIL))
     with pytest.raises(TypeError, match=r"^not a getctx/setctx term: .*MyVar\(index=0\)$"):
         run(App(Lam(MyVar(0)), Lam(Var(0))), "it", max_steps=10)  # is_scoped_gs rejects the subclass
+
+
+def test_step_rejects_a_state_of_no_machine():
+    class MyStateCT(StateCT):
+        __slots__ = ()
+
+    for state in (object(), ClosureCT(Lam(Var(0)), NIL, NIL), MyStateCT(Lam(Var(0)), NIL, NIL, NIL)):
+        with pytest.raises(TypeError, match=r"^not a machine state: "):
+            step(state)
 
 
 def _runs_to_compare(corpus_dir):
@@ -312,12 +327,12 @@ def _runs_to_compare(corpus_dir):
 
 
 def test_run_agrees_with_its_step_function(corpus_dir):
-    # run drives the rule tables itself; replay each run with the step function by hand
+    # run drives the rule tables itself; replay each run with step by hand
     fuel = 300
     runs = _runs_to_compare(corpus_dir)
     assert len(runs) >= 340
     for name, machine, term in runs:
-        initial, step = MACHINES[machine]
+        _, initial, _ = MACHINES[machine]
         states, rules = [initial(term)], []
         while True:
             rule, successor = step(states[-1])
@@ -407,7 +422,7 @@ def test_trace_heads_printed_once_per_subterm(monkeypatch):
         assert len(result.events) == 2000
         # omega has 9 nodes; each is printed at most once however often the run revisits it
         assert len(printed) == len({id(t) for t in printed}) <= 9
-        initial, step = MACHINES[machine]
+        _, initial, _ = MACHINES[machine]
         state = initial(term)
         for event in result.events:
             assert event.head == print_term(state.term, CALCULUS[machine])
