@@ -26,15 +26,15 @@ recursion however deeply closures nest.
 
 lockstep steps the machines together, checks the relations at every step
 and stops at the first failure; it keeps no past states. Consecutive states
-share almost all structure, so one memo of proven pairs, keyed by object
-identity and pinning both sides, leaves a step only its new structure to
-check. A vector and the local environment it selects are keyed by the cell
-of env their first entry selects from, which a binder leaves in place. Each
-field's key is built once, where the field is read, so a field already
-proven costs one probe; only a pair not yet proven goes on the work list.
-The memo keeps two generations: every _MEMO_GENERATION steps the young one
-becomes the old one and the old one is dropped, and a hit in the old one is
-promoted. That bounds memory; a pair that aged out is only checked again.
+share almost all structure, so one memo of proven pairs, a dict keyed by
+object identity whose entries pin both sides, leaves a step only its new
+structure to check. A vector and the local environment it selects are keyed
+by the cell of env their first entry selects from, which a binder leaves in
+place. Each field's key is built once, where the field is read, so a field
+already proven costs one probe; only a pair not yet proven goes on the work
+list. A key in the memo is a pair proven since the memo was last cleared:
+lockstep clears it every _MEMO_GENERATION steps, which bounds memory, and
+the live state is then proven once more.
 """
 
 from __future__ import annotations
@@ -66,48 +66,25 @@ from .translate import down
 
 PAIRS = ("star", "diamond", "composed")
 
-# Lock-step steps per memo generation; the memo holds the pairs proven in the
-# last two generations.
+# Lock-step steps between two clears of the memo of proven pairs.
 _MEMO_GENERATION = 4096
-
-
-class RelationMemo:
-    """Pairs already proven related, keyed by (kind, id, id, ...).
-
-    Each entry pins the objects its ids name, so an id stays valid while its
-    key is held. A pair is recorded when it is first probed, before its
-    parts are checked, so a memo may be reused only while every check that
-    used it has returned True. Two empty lists are related without a key.
-    """
-
-    __slots__ = ("young", "old")
-
-    def __init__(self):
-        self.young: dict[tuple, tuple] = {}
-        self.old: dict[tuple, tuple] = {}
-
-    def age(self):
-        """Start a new generation: pairs not seen in the last two are dropped."""
-        self.old, self.young = self.young, {}
-
-    def first_visit(self, key: tuple, pins: tuple) -> bool:
-        """Record key; False if it was already proven (an old hit is promoted)."""
-        young = self.young
-        if key in young:
-            return False
-        young[key] = pins
-        return self.old.pop(key, None) is None
 
 # ---------------------------------------------------------------------------
 # The relations
 # ---------------------------------------------------------------------------
 
-# A pair of fields is probed where it is read: its memo key is built there,
-# once, and a proven pair costs that one dict probe. A pair not yet proven is
+# The memo is a dict of pairs proven since it was last cleared, keyed by
+# (kind, id, id, ...). Each entry pins the objects its ids name, so an id
+# stays valid while its key is held. A pair is recorded when it is first
+# probed, before its parts are checked, so a memo may be reused only while
+# every check that used it has returned True.
+#
+# A pair of fields is probed where it is read: its key is built there, once,
+# and a proven pair costs that one dict probe. A pair not yet proven is
 # recorded and becomes a work item (kind, it side, other side, context...),
-# which also pins it. A list kind relates two lists pointwise by its element
-# kind: the walk records each further pair of cells and stops at the first
-# one already proven.
+# which is also its entry. A list kind relates two lists pointwise by its
+# element kind: the walk records each further pair of cells and stops at the
+# first one already proven. Two empty lists are related without a key.
 _STAR_CLOSURE, _STAR_ENV, _STAR_LABELS, _STAR_TERM = range(4)
 _DIAMOND_CLOSURE, _DIAMOND_ENV, _DIAMOND_LABELS, _DIAMOND_LOCAL, _DIAMOND_TABLE = range(4, 9)
 _ELEMENT = {
@@ -118,57 +95,58 @@ _ELEMENT = {
 }
 
 
-def R_star(it: StateIT | ClosureIT, ct: StateCT | ClosureCT, memo: RelationMemo | None = None) -> bool:
+def R_star(it: StateIT | ClosureIT, ct: StateCT | ClosureCT, memo: dict | None = None) -> bool:
     """Does the ct state (or closure) simulate the it state (or closure)?"""
-    memo = RelationMemo() if memo is None else memo
+    memo = {} if memo is None else memo
     if type(ct) is not (StateCT if type(it) is StateIT else ClosureCT):
         return False
     todo: list[tuple] = []
-    if type(it) is StateIT:
-        x, y = it.stack, ct.stack
-        if x is not NIL or y is not NIL:
-            key = (_STAR_ENV, id(x), id(y))
-            if key not in memo.young and memo.first_visit(key, item := (_STAR_ENV, x, y)):
-                todo.append(item)
     return _star_fields(it, ct, todo, memo) and (not todo or _prove(todo, memo))
 
 
-def R_diamond(it: StateIT | ClosureIT, gs: StateGS | ClosureGS, memo: RelationMemo | None = None) -> bool:
+def R_diamond(it: StateIT | ClosureIT, gs: StateGS | ClosureGS, memo: dict | None = None) -> bool:
     """Does the gs state (or closure) simulate the it state (or closure)?"""
-    memo = RelationMemo() if memo is None else memo
+    memo = {} if memo is None else memo
     if type(gs) is not (StateGS if type(it) is StateIT else ClosureGS):
         return False
     todo: list[tuple] = []
-    if type(it) is StateIT:
-        x, y = it.stack, gs.stack
-        if x is not NIL or y is not NIL:
-            key = (_DIAMOND_ENV, id(x), id(y))
-            if key not in memo.young and memo.first_visit(key, item := (_DIAMOND_ENV, x, y)):
-                todo.append(item)
     return _diamond_fields(it, gs, todo, memo) and (not todo or _prove(todo, memo))
 
 
-def _star_fields(x, y, todo: list, memo: RelationMemo) -> bool:
-    """Probe the environment, label and term pairs of x and y; queue the new ones."""
-    young, first_visit = memo.young, memo.first_visit
+def _star_fields(x, y, todo: list, memo: dict) -> bool:
+    """Probe the stack (of two states), environment, label and term pairs of x and y; queue the new ones."""
+    if type(y) is StateCT:
+        a, b = x.stack, y.stack
+        if a is not NIL or b is not NIL:
+            key = (_STAR_ENV, id(a), id(b))
+            if key not in memo:
+                todo.append(memo.setdefault(key, (_STAR_ENV, a, b)))
     a, b = x.env, y.env
     if a is not NIL or b is not NIL:
         key = (_STAR_ENV, id(a), id(b))
-        if key not in young and first_visit(key, item := (_STAR_ENV, a, b)):
-            todo.append(item)
+        if key not in memo:
+            todo.append(memo.setdefault(key, (_STAR_ENV, a, b)))
     a, b = x.mu_env, y.mu_env
     if a is not NIL or b is not NIL:
         key = (_STAR_LABELS, id(a), id(b))
-        if key not in young and first_visit(key, item := (_STAR_LABELS, a, b)):
-            todo.append(item)
+        if key not in memo:
+            todo.append(memo.setdefault(key, (_STAR_LABELS, a, b)))
     a, b, depth, vec, table = x.term, y.term, x.depth, x.vec, x.table
     key = (_STAR_TERM, id(a), id(b), depth, id(vec), id(table))
-    return key in young or not first_visit(key, (a, b, vec, table)) or _star_term(a, b, depth, vec, table)
+    if key in memo:
+        return True
+    memo[key] = (a, b, vec, table)
+    return _star_term(a, b, depth, vec, table)
 
 
-def _diamond_fields(x, y, todo: list, memo: RelationMemo) -> bool:
-    """Probe the local environment, label and stack pairs of x and y; queue the new ones."""
-    young, first_visit = memo.young, memo.first_visit
+def _diamond_fields(x, y, todo: list, memo: dict) -> bool:
+    """Probe the stack (of two states), local environment, table and label pairs of x and y; queue the new ones."""
+    if type(y) is StateGS:
+        a, b = x.stack, y.stack
+        if a is not NIL or b is not NIL:
+            key = (_DIAMOND_ENV, id(a), id(b))
+            if key not in memo:
+                todo.append(memo.setdefault(key, (_DIAMOND_ENV, a, b)))
     depth, env = x.depth, x.env
     a, b = x.vec, y.lenv
     if a is not NIL or b is not NIL:
@@ -176,24 +154,24 @@ def _diamond_fields(x, y, todo: list, memo: RelationMemo) -> bool:
         if cell is None:
             return False
         key = (_DIAMOND_LOCAL, id(a), id(b), id(cell))
-        if key not in young and first_visit(key, item := (_DIAMOND_LOCAL, a, b, cell)):
-            todo.append(item)
+        if key not in memo:
+            todo.append(memo.setdefault(key, (_DIAMOND_LOCAL, a, b, cell)))
     a, b = x.table, y.lenv_mu
     if a is not NIL or b is not NIL:
         key = (_DIAMOND_TABLE, id(a), id(b), depth, id(env))
-        if key not in young and first_visit(key, item := (_DIAMOND_TABLE, a, b, depth, env)):
-            todo.append(item)
+        if key not in memo:
+            todo.append(memo.setdefault(key, (_DIAMOND_TABLE, a, b, depth, env)))
     a, b = x.mu_env, y.mu_env
     if a is not NIL or b is not NIL:
         key = (_DIAMOND_LABELS, id(a), id(b))
-        if key not in young and first_visit(key, item := (_DIAMOND_LABELS, a, b)):
-            todo.append(item)
+        if key not in memo:
+            todo.append(memo.setdefault(key, (_DIAMOND_LABELS, a, b)))
     return x.term is y.term or _same_term(x.term, y.term)
 
 
-def _prove(todo: list, memo: RelationMemo) -> bool:
+def _prove(todo: list, memo: dict) -> bool:
     """Check every work item, each a recorded pair; True iff all of them hold."""
-    young, first_visit, push = memo.young, memo.first_visit, todo.append
+    push = todo.append
     while todo:
         item = todo.pop()
         kind, x, y = item[0], item[1], item[2]
@@ -213,14 +191,15 @@ def _prove(todo: list, memo: RelationMemo) -> bool:
                 a, b = x.head, y.head
                 if a is not NIL or b is not NIL:
                     key = (element, id(a), id(b))
-                    if key not in young and first_visit(key, item := (element, a, b)):
-                        push(item)
+                    if key not in memo:
+                        push(memo.setdefault(key, (element, a, b)))
                 x, y = x.tail, y.tail
                 if x is NIL:
                     break
                 key = (kind, id(x), id(y))
-                if key in young or not first_visit(key, (x, y)):
+                if key in memo:
                     break
+                memo[key] = (x, y)
             continue
         if kind == _DIAMOND_LOCAL:
             # x a vector, y the local environment it selects, cell the
@@ -231,8 +210,8 @@ def _prove(todo: list, memo: RelationMemo) -> bool:
             while True:
                 a, b = cell.head, y.head
                 key = (_DIAMOND_CLOSURE, id(a), id(b))
-                if key not in young and first_visit(key, item := (_DIAMOND_CLOSURE, a, b)):
-                    push(item)
+                if key not in memo:
+                    push(memo.setdefault(key, (_DIAMOND_CLOSURE, a, b)))
                 entry = x.head
                 x, y = x.tail, y.tail
                 if x is NIL:
@@ -241,8 +220,9 @@ def _prove(todo: list, memo: RelationMemo) -> bool:
                 if cell is None:
                     return False
                 key = (kind, id(x), id(y), id(cell))
-                if key in young or not first_visit(key, (x, y, cell)):
+                if key in memo:
                     break
+                memo[key] = (x, y, cell)
             continue
         # _DIAMOND_TABLE: x a table of vectors, y the local environments
         # they select from the global environment env at depth.
@@ -254,14 +234,15 @@ def _prove(todo: list, memo: RelationMemo) -> bool:
                 if cell is None:
                     return False
                 key = (_DIAMOND_LOCAL, id(a), id(b), id(cell))
-                if key not in young and first_visit(key, item := (_DIAMOND_LOCAL, a, b, cell)):
-                    push(item)
+                if key not in memo:
+                    push(memo.setdefault(key, (_DIAMOND_LOCAL, a, b, cell)))
             x, y = x.tail, y.tail
             if x is NIL:
                 break
             key = (kind, id(x), id(y), depth, id(env))
-            if key in young or not first_visit(key, (x, y, env)):
+            if key in memo:
                 break
+            memo[key] = (x, y, env)
     return True
 
 
@@ -399,7 +380,7 @@ def lockstep(t: TermGS, pair: str = "composed", max_steps: int | None = None) ->
     if pair not in PAIRS:
         raise ValueError(f"unknown pair {pair!r} (expected one of {PAIRS})")
     fuel = resolve_max_steps(max_steps)
-    memo = RelationMemo()
+    memo: dict = {}
     it = initial_it(t)  # rejects open terms before down sees them
     ct = None if pair == "diamond" else initial_ct(down(t))  # None: not in the pair
     gs = None if pair == "star" else initial_gs(t)
@@ -408,7 +389,7 @@ def lockstep(t: TermGS, pair: str = "composed", max_steps: int | None = None) ->
     i = 0
     while True:
         if i % _MEMO_GENERATION == 0:
-            memo.age()
+            memo.clear()
         if ct is not None and not R_star(it, ct, memo):
             return _image_differs(pair, i, it, ct, "ct")
         if gs is not None and not R_diamond(it, gs, memo):

@@ -42,18 +42,27 @@ def _pick(rng: random.Random, choices: list[tuple[str, int]]) -> str:
     return rng.choices(names, weights=weights, k=1)[0]
 
 
+def _draw(rng: random.Random, cells: tuple):
+    """A uniform item of a linked tuple (item, length, rest), drawn as rng.choice draws from a sequence."""
+    n = rng.randrange(cells[1])
+    while n:
+        cells, n = cells[2], n - 1
+    return cells[0]
+
+
 def _gen_named(rng, size, safe_only):
     """Shared generator for the named terms: draws in pre-order on an explicit stack.
 
     A subterm still to draw is (size, visible, bound, labels): the names
     visible in the current coroutine, every Lam binder in scope (what
     unsafe-ok variables draw from) and the (label, visible-snapshot) pairs,
-    each newest first. Each node drawn is recorded as (constructor, name),
-    and the term is built from the records in reverse.
+    each a linked tuple (item, length, rest), newest first, None when empty,
+    so a binder adds one cell. Each node drawn is recorded as (constructor,
+    name), and the term is built from the records in reverse.
     """
     var_ids, label_ids = count(), count()
     drawn = []
-    todo = [(size, (), (), ())]
+    todo = [(size, None, None, None)]
     while todo:
         size, visible, bound, labels = todo.pop()
         var_pool = visible if safe_only else bound
@@ -67,15 +76,14 @@ def _gen_named(rng, size, safe_only):
             choices.append(("capture", _W_CAPTURE))
             if labels:
                 choices.append(("restore", _W_RESTORE))
-        if not choices or (size <= 1 and var_pool):
-            if var_pool:
-                drawn.append((NVar, rng.choice(var_pool)))
-                continue
-            choices = [("lam", 1)]  # no binder in scope yet: introduce one
+        if var_pool and size <= 1:
+            kind = "var"
+        else:
+            kind = _pick(rng, choices or [("lam", 1)])  # no choices: no binder in scope yet, introduce one
 
-        match _pick(rng, choices):
+        match kind:
             case "var":
-                drawn.append((NVar, rng.choice(var_pool)))
+                drawn.append((NVar, _draw(rng, var_pool)))
             case "app":
                 left = rng.randint(1, size - 2)
                 drawn.append((NApp, None))
@@ -84,13 +92,16 @@ def _gen_named(rng, size, safe_only):
             case "lam":
                 param = f"x{next(var_ids)}"
                 drawn.append((NLam, param))
-                todo.append((size - 1, (param,) + visible, (param,) + bound, labels))
+                visible = (param, visible[1] + 1 if visible else 1, visible)
+                bound = (param, bound[1] + 1 if bound else 1, bound)
+                todo.append((size - 1, visible, bound, labels))
             case "capture":
                 label = f"k{next(label_ids)}"
                 drawn.append((NCatch, label))
-                todo.append((size - 1, visible, bound, ((label, visible),) + labels))
+                labels = ((label, visible), labels[1] + 1 if labels else 1, labels)
+                todo.append((size - 1, visible, bound, labels))
             case "restore":
-                label, snapshot = labels[rng.randrange(len(labels))]
+                label, snapshot = _draw(rng, labels)
                 drawn.append((NThrow, label))
                 todo.append((size - 1, snapshot if safe_only else visible, bound, labels))
 

@@ -223,7 +223,8 @@ def is_closed_ct(t: TermCT) -> bool:
     """True iff every Var resolves under the Lam binders and every Throw under the Catch binders.
 
     The walk visits subterms left to right and answers False at the first
-    index out of range, so a malformed node to its right raises nothing.
+    index out of range, so a malformed node to its right raises nothing. An
+    index or label that is not exactly an int is out of range.
     """
     todo = [(t, 0, 0)]
     push, pop = todo.append, todo.pop
@@ -231,7 +232,7 @@ def is_closed_ct(t: TermCT) -> bool:
         node, lam_depth, label_depth = pop()
         cls = type(node)
         if cls is Var:
-            if not 0 <= node.index < lam_depth:
+            if type(node.index) is not int or not 0 <= node.index < lam_depth:
                 return False
         elif cls is App:
             push((node.arg, lam_depth, label_depth))
@@ -241,7 +242,7 @@ def is_closed_ct(t: TermCT) -> bool:
         elif cls is Catch:
             push((node.body, lam_depth, label_depth + 1))
         elif cls is Throw:
-            if not 0 <= node.label < label_depth:
+            if type(node.label) is not int or not 0 <= node.label < label_depth:
                 return False
             push((node.body, lam_depth, label_depth))
         else:
@@ -257,7 +258,8 @@ def is_scoped_gs(t: TermGS) -> bool:
     length by one, a capture snapshots it, a restore brings a snapshot back.
     The snapshots in scope are a linked tuple (length, rest), newest first,
     None when empty, so a capture pushes one pair. The walk visits subterms
-    left to right and answers False at the first index out of range.
+    left to right and answers False at the first index out of range. An
+    index or label that is not exactly an int is out of range.
     """
     todo = [(t, 0, None)]
     push, pop = todo.append, todo.pop
@@ -265,7 +267,7 @@ def is_scoped_gs(t: TermGS) -> bool:
         node, visible_len, snapshots = pop()
         cls = type(node)
         if cls is Var:
-            if not 0 <= node.index < visible_len:
+            if type(node.index) is not int or not 0 <= node.index < visible_len:
                 return False
         elif cls is App:
             push((node.arg, visible_len, snapshots))
@@ -278,7 +280,7 @@ def is_scoped_gs(t: TermGS) -> bool:
             snapshot, k = snapshots, node.label
             while snapshot is not None and k:
                 snapshot, k = snapshot[1], k - 1
-            if snapshot is None:
+            if snapshot is None or type(node.label) is not int:
                 return False
             push((node.body, snapshot[0], snapshots))
         else:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from coroutine_vm import bisim
-from coroutine_vm.bisim import LockstepReport, R_diamond, R_star, RelationMemo, lockstep
+from coroutine_vm.bisim import LockstepReport, R_diamond, R_star, lockstep
 from coroutine_vm.debruijn import to_debruijn_gs
 from coroutine_vm.errors import OpenTermError, WorkbenchError
 from coroutine_vm.gen import gen_ct_db, gen_gs_db
@@ -81,7 +81,7 @@ def test_star_relates_whole_demo_traces():
     it_states = _trace(initial_it(GS_DEMO))
     ct_states = _trace(initial_ct(down(GS_DEMO)))
     assert len(it_states) == len(ct_states) == 3
-    memo = RelationMemo()
+    memo = {}
     for it_s, ct_s in zip(it_states, ct_states):
         assert R_star(it_s, ct_s, memo)
     assert not R_star(it_states[1], ct_states[2])
@@ -160,7 +160,7 @@ def test_diamond_relates_whole_demo_traces():
     it_states = _trace(initial_it(GS_DEMO))
     gs_states = _trace(initial_gs(GS_DEMO))
     assert len(it_states) == len(gs_states) == 3
-    memo = RelationMemo()
+    memo = {}
     for it_s, gs_s in zip(it_states, gs_states):
         assert R_diamond(it_s, gs_s, memo)
     assert not R_diamond(it_states[2], gs_states[1])
@@ -210,10 +210,10 @@ def test_state_maps_are_functional():
         it_states = _trace(initial_it(term))[:20]
         ct_states = _trace(initial_ct(down(term)))[:20]
         gs_states = _trace(initial_gs(term))[:20]
-        shared = RelationMemo()
+        shared = {}
         for it_s, ct_s, gs_s in zip(it_states, ct_states, gs_states):
-            assert R_star(it_s, ct_s, RelationMemo()) and R_star(it_s, ct_s, RelationMemo())
-            assert R_diamond(it_s, gs_s, RelationMemo()) and R_diamond(it_s, gs_s, RelationMemo())
+            assert R_star(it_s, ct_s, {}) and R_star(it_s, ct_s, {})
+            assert R_diamond(it_s, gs_s, {}) and R_diamond(it_s, gs_s, {})
             assert R_star(it_s, ct_s, shared) and R_diamond(it_s, gs_s, shared)
 
 
@@ -240,13 +240,13 @@ def test_a_binder_step_reproves_only_its_new_pairs():
     while it.depth < n - 1 or type(it.term) is not Lam:
         (_, it), (_, ct), (_, gs) = step(it), step(ct), step(gs)
     assert len(it.vec) == n - 1 and len(it.stack) == 1
-    memo = RelationMemo()
+    memo = {}
     assert R_star(it, ct, memo) and R_diamond(it, gs, memo)
-    before = len(memo.young)
+    before = len(memo)
     (_, it), (_, ct), (_, gs) = step(it), step(ct), step(gs)
     assert len(it.vec) == n
     assert R_star(it, ct, memo) and R_diamond(it, gs, memo)
-    assert len(memo.young) - before < 10
+    assert len(memo) - before < 10
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +513,8 @@ def test_lockstep_reports_the_faulted_step(monkeypatch, machine, field, pair, pa
     [("ct", "env", "star", "ct"), ("gs", "lenv", "diamond", "gs"), ("it", "env", "composed", "ct")],
 )
 def test_memo_aging_hides_no_fault(monkeypatch, machine, field, pair, partner):
-    # Eight steps per generation: the memo ages at steps 0, 8, 16 and 24, so
-    # step 30 reads many pairs from the old generation and promotes them.
+    # Eight steps per generation: the memo is cleared at steps 0, 8, 16 and
+    # 24, so step 30 reads many pairs proven at steps 24 to 29.
     monkeypatch.setattr(bisim, "_MEMO_GENERATION", 8)
     monkeypatch.setattr(bisim, "step", _fault_at_call(machine, 30, _field_fault(machine, field)))
     report = lockstep(PING_PONG, pair, 50)
@@ -535,39 +535,50 @@ def test_lockstep_leaves_the_recursion_limit_alone():
     assert (report.outcome, report.steps_checked) == ("fuel_exhausted", 20_000)
 
 
-def test_memo_keeps_two_generations():
-    memo = RelationMemo()
-    a, b = object(), object()
-    assert memo.first_visit(("a",), (a,)) and memo.first_visit(("b",), (b,))
-    assert not memo.first_visit(("a",), (a,))
-    memo.age()
-    assert not memo.first_visit(("a",), (a,))  # a hit in the old generation is promoted
-    memo.age()
-    assert not memo.first_visit(("a",), (a,))
-    assert memo.first_visit(("b",), (b,))  # not seen for two agings: dropped
+def test_memo_holds_only_the_pairs_probed_since_its_last_clear(monkeypatch):
+    # lockstep keeps one dict of proven pairs and clears it every
+    # _MEMO_GENERATION steps: a pair proven before a clear is not kept past
+    # it, and the live state is proven once more after it
+    generation = 8
+    monkeypatch.setattr(bisim, "_MEMO_GENERATION", generation)
+    at_entry, added = [], []
+
+    def recorded(it, ct, memo=None):
+        before = set(memo)
+        related = R_star(it, ct, memo)
+        at_entry.append(before)
+        added.append(set(memo) - before)
+        return related
+
+    monkeypatch.setattr(bisim, "R_star", recorded)
+    assert lockstep(PING_PONG, "star", 5 * generation).outcome == "fuel_exhausted"
+    assert len(at_entry) == 5 * generation + 1
+    for i, keys in enumerate(at_entry):
+        assert keys == set().union(*added[i - i % generation:i])
+    for i in range(generation, 5 * generation, generation):
+        assert not at_entry[i] and added[i] & at_entry[i - 1]
 
 
 def test_lockstep_memory_is_bounded(monkeypatch):
-    # The memo of proven pairs keeps two generations of _MEMO_GENERATION
-    # steps, so a run four generations long may peak above a one-generation
-    # run only by the second generation and by the machines' own growth (the
-    # ping-pong closures carry one more label per round). Measured on Python
-    # 3.11: 0.29-0.46 MB at one generation and 0.44-0.52 MB at four, the
-    # spread depending on what ran before in the process. Image caches that
-    # pin every closure ever mapped grow by about 1 KB per step instead:
-    # about 14 MB more at four generations.
-    memos = []
+    # lockstep clears its memo of proven pairs every _MEMO_GENERATION steps,
+    # so a run four generations long may peak above a one-generation run
+    # only by the machines' own growth (the ping-pong closures carry one
+    # more label per round). Measured on Python 3.11, in a fresh process
+    # with the long run first: 0.56 MB at four generations and 0.22 MB at
+    # one; 0.79 MB at four without clearing. Image caches that pin every
+    # closure ever mapped grow by about 1 KB per step instead: about 14 MB
+    # more at four generations.
+    peaks = []
 
-    class RecordedMemo(RelationMemo):
-        __slots__ = ()
+    def recorded(it, gs, memo=None):
+        related = R_diamond(it, gs, memo)
+        peaks[-1] = max(peaks[-1], len(memo))
+        return related
 
-        def __init__(self):
-            super().__init__()
-            memos.append(self)
-
-    monkeypatch.setattr(bisim, "RelationMemo", RecordedMemo)
+    monkeypatch.setattr(bisim, "R_diamond", recorded)
 
     def peak(steps):
+        peaks.append(0)
         tracemalloc.start()
         try:
             assert lockstep(PING_PONG, "composed", steps).outcome == "fuel_exhausted"
@@ -577,9 +588,11 @@ def test_lockstep_memory_is_bounded(monkeypatch):
 
     generation = bisim._MEMO_GENERATION
     assert peak(4 * generation) - peak(generation) < 1_000_000
-    # The memo itself ends both runs holding about one generation: 1248 and
-    # 1220 entries here, against 2480 after four generations without aging.
-    long_run, short_run = (len(memo.young) + len(memo.old) for memo in memos)
+    # The memo peaks at about one generation's entries in both runs: 1562
+    # and 1220 here, against 2480 after four generations without clearing.
+    # Its size at the end of a run would read the live state proven again
+    # after the last clear, which grows by one label per round.
+    long_run, short_run = peaks
     assert long_run < 1.5 * short_run
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from coroutine_vm import machines, terms
+from coroutine_vm.bisim import lockstep
 from coroutine_vm.debruijn import to_debruijn_ct, to_debruijn_gs
 from coroutine_vm.errors import OpenTermError, WorkbenchError
 from coroutine_vm.gen import gen_gs_db
@@ -155,6 +156,26 @@ def test_negative_index_or_label_is_an_open_term(machine, term):
     # out of range like one past the end: the scope check refuses the term before a rule indexes with it
     with pytest.raises(OpenTermError):
         run(term, machine, max_steps=10)
+
+
+# In range by value, since 0 <= True < 2 and 0 <= 0.0 < 1, but not an int.
+NON_INT = [
+    App(App(Lam(Lam(Var(True))), Lam(Var(0))), Lam(Var(0))),
+    App(Lam(Var(0.0)), Lam(Var(0))),
+    Catch(Catch(Throw(True, Lam(Var(0))))),
+    Catch(Throw(0.0, Lam(Var(0)))),
+]
+
+
+@pytest.mark.parametrize("machine", ["ct", "gs", "it", "lockstep"])
+@pytest.mark.parametrize("term", NON_INT, ids=["bool-variable", "float-variable", "bool-label", "float-label"])
+def test_a_non_int_index_or_label_is_an_open_term(machine, term):
+    # the scope check refuses the term before a rule indexes a list with it
+    with pytest.raises(OpenTermError):
+        if machine == "lockstep":
+            lockstep(term, "composed", 10)
+        else:
+            run(term, machine, max_steps=10)
 
 
 def test_run_counts_transitions():
