@@ -39,7 +39,7 @@ from .machines import (
 from .gen import gen_ct_db, gen_gs_db, gen_named_ct, gen_named_gs
 from .parser import parse, parse_ct, parse_gs
 from .plist import NIL, PList, plist
-from .safety import UseSets, VisibleEnv, is_safe, safe_db, safe_named, use_sets
+from .safety import UseSets, is_safe, safe_db, safe_named, use_sets
 from .terms import (
     App,
     Catch,

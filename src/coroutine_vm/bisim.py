@@ -42,8 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .machines import (
-    BY_STATE,
-    CALCULUS,
     ClosureCT,
     ClosureGS,
     ClosureIT,
@@ -53,6 +51,7 @@ from .machines import (
     StateCT,
     StateGS,
     StateIT,
+    _not_a_state,
     applicable_rules,
     initial_ct,
     initial_gs,
@@ -176,11 +175,11 @@ def _prove(todo: list, memo: dict) -> bool:
         item = todo.pop()
         kind, x, y = item[0], item[1], item[2]
         if kind == _STAR_CLOSURE:
-            if type(y) is not ClosureCT or not _star_fields(x, y, todo, memo):
+            if type(x) is not ClosureIT or type(y) is not ClosureCT or not _star_fields(x, y, todo, memo):
                 return False
             continue
         if kind == _DIAMOND_CLOSURE:
-            if type(y) is not ClosureGS or not _diamond_fields(x, y, todo, memo):
+            if type(x) is not ClosureIT or type(y) is not ClosureGS or not _diamond_fields(x, y, todo, memo):
                 return False
             continue
         if type(y) is not PList or x.length != y.length:
@@ -278,7 +277,7 @@ def _star_term(x, y, depth: int, vec: PList, table: PList) -> bool:
             return False
         if kind is Var:
             local = x.index
-            if not 0 <= local < vec.length:
+            if type(local) is not int or not 0 <= local < vec.length:
                 return False
             if type(y.index) is not int or y.index != depth - vec[local]:
                 return False
@@ -291,9 +290,9 @@ def _star_term(x, y, depth: int, vec: PList, table: PList) -> bool:
             todo.append((x.body, y.body, depth, vec, table.cons(vec)))
         elif kind is Throw:
             label = x.label
-            if type(y.label) is not int or y.label != label:
+            if type(label) is not int or not 0 <= label < table.length:
                 return False
-            if not 0 <= label < table.length:
+            if type(y.label) is not int or y.label != label:
                 return False
             todo.append((x.body, y.body, depth, table[label], table))
         else:
@@ -347,17 +346,17 @@ class LockstepReport:
 
 def describe_state(s: State) -> str:
     """One-line state summary for divergence reports, its term in the machine's calculus."""
-    machine, _ = BY_STATE[type(s)]
-    if machine == "ct":
-        shape = f"env={len(s.env)} labels={len(s.mu_env)} stack={len(s.stack)}"
-    elif machine == "gs":
-        shape = f"lenv={len(s.lenv)} labels={len(s.lenv_mu)}/{len(s.mu_env)} stack={len(s.stack)}"
+    cls = type(s)
+    if cls is StateCT:
+        calculus, shape = "ct", f"env={len(s.env)} labels={len(s.mu_env)} stack={len(s.stack)}"
+    elif cls is StateGS:
+        calculus, shape = "gs", f"lenv={len(s.lenv)} labels={len(s.lenv_mu)}/{len(s.mu_env)} stack={len(s.stack)}"
+    elif cls is StateIT:
+        calculus, shape = "gs", (f"depth={s.depth} vec={list(s.vec)} table=[{len(s.table)} vecs] "
+                                 f"env={len(s.env)} labels={len(s.mu_env)} stack={len(s.stack)}")
     else:
-        shape = (
-            f"depth={s.depth} vec={list(s.vec)} table=[{len(s.table)} vecs] "
-            f"env={len(s.env)} labels={len(s.mu_env)} stack={len(s.stack)}"
-        )
-    return f"<{print_term(s.term, CALCULUS[machine])} | {shape}>"
+        raise _not_a_state(s)
+    return f"<{print_term(s.term, calculus)} | {shape}>"
 
 
 _HALTS = (RULE_FINAL, RULE_STUCK)

@@ -80,23 +80,17 @@ DEFAULT_MAX_STEPS = 1_000_000
 MAX_STEPS_ENV_VAR = "COROUTINE_VM_MAX_STEPS"
 
 
-def default_max_steps() -> int:
-    """Fuel default, overridable through the COROUTINE_VM_MAX_STEPS env var."""
-    raw = os.environ.get(MAX_STEPS_ENV_VAR)
-    if not raw:
-        return DEFAULT_MAX_STEPS
-    try:
-        return int(raw)
-    except ValueError:
-        raise WorkbenchError(f"{MAX_STEPS_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 def resolve_max_steps(max_steps: int | None) -> int:
-    """The fuel for one run: max_steps, or default_max_steps() when it is None."""
-    fuel = default_max_steps() if max_steps is None else max_steps
-    if fuel < 0:
-        raise WorkbenchError(f"max steps must not be negative, got {fuel}")
-    return fuel
+    """The fuel for one run: max_steps, else $COROUTINE_VM_MAX_STEPS or the default."""
+    if max_steps is None:
+        raw = os.environ.get(MAX_STEPS_ENV_VAR)
+        try:
+            max_steps = int(raw) if raw else DEFAULT_MAX_STEPS
+        except ValueError:
+            raise WorkbenchError(f"{MAX_STEPS_ENV_VAR} must be an integer, got {raw!r}") from None
+    if max_steps < 0:
+        raise WorkbenchError(f"max steps must not be negative, got {max_steps}")
+    return max_steps
 
 # ---------------------------------------------------------------------------
 # States
@@ -316,12 +310,16 @@ def _not_a_term(machine: str, term: object) -> TypeError:
     return TypeError(f"not a {capture}/{restore} term: {term!r}")
 
 
+def _not_a_state(s: object) -> TypeError:
+    return TypeError(f"not a machine state: {s!r}")
+
+
 def step(s: State) -> Step:
     """One transition of whichever machine s is a state of."""
     try:
         machine, rules = BY_STATE[type(s)]
     except KeyError:
-        raise TypeError(f"not a machine state: {s!r}") from None
+        raise _not_a_state(s) from None
     t = s.term
     try:
         rule = rules[type(t)]
@@ -336,9 +334,9 @@ def step(s: State) -> Step:
 
 def _var_guard(s: State) -> bool:
     term = s.term
-    if isinstance(s, StateCT):
+    if type(s) is StateCT:
         return term.index < s.env.length
-    if isinstance(s, StateGS):
+    if type(s) is StateGS:
         return term.index < s.lenv.length
     if term.index >= s.vec.length:
         return False
@@ -346,9 +344,9 @@ def _var_guard(s: State) -> bool:
 
 
 def _restore_guard(s: State) -> bool:
-    if isinstance(s, StateCT):
+    if type(s) is StateCT:
         return s.term.label < s.mu_env.length
-    labels = s.lenv_mu if isinstance(s, StateGS) else s.table
+    labels = s.lenv_mu if type(s) is StateGS else s.table
     return labels.length == s.mu_env.length and s.term.label < labels.length
 
 
@@ -358,25 +356,28 @@ def applicable_rules(s: State) -> list[str]:
     Written as independent guard checks (not a table lookup) so the
     determinism property "exactly one rule applies in every reachable state"
     is tested against something other than the rule tables' own dispatch.
-    The term's class is tested first: no class can be two term classes at
-    once (their slot layouts conflict), so only that class's guards can
-    hold, and both guards of an abstraction are evaluated.
+    Classes are tested exactly, as in step: a value of no state class raises
+    step's TypeError, a term of no term class has no rule, and both guards
+    of an abstraction are evaluated.
     """
-    term = s.term
-    if isinstance(term, Var):
+    state = type(s)
+    if state is not StateCT and state is not StateGS and state is not StateIT:
+        raise _not_a_state(s)
+    cls = type(s.term)
+    if cls is Var:
         return [RULE_VAR] if _var_guard(s) else []
-    if isinstance(term, App):
+    if cls is App:
         return [RULE_APP]
-    if isinstance(term, Lam):
+    if cls is Lam:
         rules = []
         if s.stack is not NIL:
             rules.append(RULE_LAM)
         if s.stack is NIL:
             rules.append(RULE_FINAL)
         return rules
-    if isinstance(term, Catch):
+    if cls is Catch:
         return [RULE_CAPTURE]
-    if isinstance(term, Throw) and _restore_guard(s):
+    if cls is Throw and _restore_guard(s):
         return [RULE_RESTORE]
     return []
 

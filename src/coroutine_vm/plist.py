@@ -4,7 +4,7 @@ PList is the list of the machines and of lock-step: environments, stacks,
 vectors and tables. The capture rules snapshot whole sequences on every
 context switch, so O(1) cons with spine sharing is what keeps runs (and the
 lock-step checkers, which memoize by spine identity) linear, not quadratic.
-The term walkers' scope lists are cheaper linked tuples instead; see linked.
+The term walkers' scope lists are cheaper linked tuples (entry, rest).
 
 NIL is the only empty list, so `xs is NIL` tests emptiness, and every cell
 caches its length in the read-only `length` slot; the machines' hot paths use
@@ -13,7 +13,6 @@ both instead of `__bool__`/`__len__`.
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Any, Iterable, Iterator
 
 
@@ -111,7 +110,3 @@ def plist(items: Iterable[Any] = ()) -> PList:
         out = out.cons(item)
     return out
 
-
-def linked(items: Iterable[Any]) -> tuple | None:
-    """items as a linked tuple (item, rest), first item first; None when empty."""
-    return reduce(lambda rest, item: (item, rest), reversed(tuple(items)), None)

@@ -17,17 +17,16 @@ cross-checked by the test suite:
     the translation and the machines. It walks the same way, with binder
     depths for names and one linked vector per label in scope.
 
-safe_named and safe_db carry no path: they count their visits, and
-errors.path_at rebuilds the path when raising. Keep the three independent:
-they are each other's oracles.
+All three take the term alone. safe_named and safe_db carry no path: they
+count their visits, and errors.path_at rebuilds the path when raising. Keep
+the three independent: they are each other's oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import OpenMuTermError, path_at
-from .plist import NIL, PList, linked
 from .terms import (
     App,
     Catch,
@@ -139,22 +138,11 @@ def _merge(a: dict[str, set[str]], b: dict[str, set[str]]) -> dict[str, set[str]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VisibleEnv:
-    """A visible-variable list plus one snapshot of it per label in scope.
-
-    Lists are scope snapshots; duplicates are allowed and lookup is leftmost.
-    """
-
-    v: tuple[str, ...] = ()
-    v_mu: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-
-def safe_named(t: NamedTermCT, env: VisibleEnv | None = None) -> bool:
+def safe_named(t: NamedTermCT) -> bool:
     """Visibility judgment: every variable must be visible in its own coroutine.
 
-    Every free label of t must be in env.v_mu (for closed terms the empty env
-    works); a miss raises OpenMuTermError.
+    The walk starts from the empty context, so a free variable is invisible
+    and a free label raises OpenMuTermError.
 
     Each visit carries its visible list as a linked list (name, rest), None
     when empty. Each label maps to the stack of its visible lists in scope:
@@ -163,9 +151,8 @@ def safe_named(t: NamedTermCT, env: VisibleEnv | None = None) -> bool:
     walk stops at the first invisible variable, so the error raised, if
     any, is the one a recursive walk would raise.
     """
-    env = env or VisibleEnv()
-    v_mu = {label: [linked(v)] for label, v in env.v_mu.items()}
-    todo: list = [(t, linked(env.v))]
+    v_mu: dict = {}
+    todo: list = [(t, None)]
     visits = 0
     push, pop = todo.append, todo.pop
     while todo:
@@ -206,7 +193,7 @@ def safe_named(t: NamedTermCT, env: VisibleEnv | None = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def safe_db(t: TermCT, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> bool:
+def safe_db(t: TermCT) -> bool:
     """Index-form safety judgment.
 
     depth counts Lam binders from the root; vec holds the binder depths
@@ -219,7 +206,7 @@ def safe_db(t: TermCT, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> 
     table linked tuples (entry, rest). It answers False at the first unsafe
     variable from the left, so an open label to its right raises nothing.
     """
-    todo: list = [(t, depth, linked(vec), linked(map(linked, table)))]
+    todo: list = [(t, 0, None, None)]
     visits = 0
     push, pop = todo.append, todo.pop
     while todo:
@@ -237,7 +224,6 @@ def safe_db(t: TermCT, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> 
             push((node.fn, depth, vec, table))
         elif cls is Lam:
             depth += 1
-            assert vec is None or depth > vec[0], "visibility vector must stay strictly decreasing"
             push((node.body, depth, (depth, vec), table))
         elif cls is Catch:
             push((node.body, depth, vec, (vec, table)))

@@ -6,25 +6,24 @@ that is safe by construction. lift is its constructive inverse: it succeeds
 exactly on safe catch/throw terms and recovers the unique getctx/setctx
 source. Structure is preserved one-for-one; only variable indices change.
 
-Both walk the term on an explicit work list, so they run at any nesting
-depth. A node is visited from a (node, depth, vec, table) tuple, vec and
-table as linked tuples (entry, rest); the node itself, pushed under its
-subterms' visits, is the marker that builds its image from theirs on the
-`out` stack once they are done. Subterms are visited left to right, so the
-first error raised is the one a recursive walk would raise; errors.path_at
-rebuilds the failing node's path from the count of visits. Each dispatches
-on the exact class of a node, so a subclass of a term class raises
+Both walk the term from the empty context on an explicit work list, so they
+run at any nesting depth. A node is visited from a (node, depth, vec, table)
+tuple, vec and table as linked tuples (entry, rest), None when empty; the node
+itself, pushed under its subterms' visits, is the marker that builds its image
+from theirs on the `out` stack once they are done. Subterms are visited left
+to right, so the first error raised is the one a recursive walk would raise;
+errors.path_at rebuilds the failing node's path from the count of visits. Each
+dispatches on the exact class of a node, so a subclass of a term class raises
 TypeError. The two are written apart on purpose: each checks the other.
 """
 
 from __future__ import annotations
 
 from .errors import NotSafeError, OpenMuTermError, UnsafeLocalIndexError, path_at
-from .plist import NIL, PList, linked
 from .terms import App, Catch, Lam, TermCT, TermGS, Throw, Var
 
 
-def down(t: TermGS, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> TermCT:
+def down(t: TermGS) -> TermCT:
     """Translate local indices to global ones through the visibility vector.
 
     A variable at local index l refers to the binder at depth vec[l], i.e. to
@@ -32,7 +31,7 @@ def down(t: TermGS, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> Ter
     the vector, OpenMuTermError when a label is out of the table.
     """
     out: list[TermCT] = []
-    todo: list = [(t, depth, linked(vec), linked(map(linked, table)))]
+    todo: list = [(t, 0, None, None)]
     visits = 0
     push, pop = todo.append, todo.pop
     while todo:
@@ -84,7 +83,7 @@ def down(t: TermGS, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> Ter
     return out[0]
 
 
-def lift(t: TermCT, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> TermGS:
+def lift(t: TermCT) -> TermGS:
     """Recover the getctx/setctx source of a safe catch/throw term.
 
     The variable at global index g refers to the binder at depth depth - g;
@@ -93,7 +92,7 @@ def lift(t: TermCT, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> Ter
     whose binder is not visible; lift succeeds iff safe_db holds.
     """
     out: list[TermGS] = []
-    todo: list = [(t, depth, linked(vec), linked(map(linked, table)))]
+    todo: list = [(t, 0, None, None)]
     visits = 0
     push, pop = todo.append, todo.pop
     while todo:
@@ -117,7 +116,6 @@ def lift(t: TermCT, depth: int = 0, vec: PList = NIL, table: PList = NIL) -> Ter
                 push((node.fn, depth, vec, table))
             elif cls is Lam:
                 depth += 1
-                assert vec is None or depth > vec[0], "visibility vector must stay strictly decreasing"
                 push((node.body, depth, (depth, vec), table))
             elif cls is Catch:
                 push((node.body, depth, vec, (vec, table)))

@@ -110,11 +110,31 @@ def test_star_walks_labels_through_the_table():
     term = Catch(Lam(Throw(0, Var(0))))
     c = _it(term, 1, plist([1]), env=plist([_it(IDENT)]))
     env = plist([ClosureCT(IDENT, NIL, NIL)])
-    assert down(term, 1, plist([1])) == Catch(Lam(Throw(0, Var(1))))
+    assert down(Lam(term)) == Lam(Catch(Lam(Throw(0, Var(1)))))
     assert R_star(c, ClosureCT(Catch(Lam(Throw(0, Var(1)))), env, NIL))
     assert not R_star(c, ClosureCT(Catch(Lam(Throw(0, Var(0)))), env, NIL))  # vector not switched
     assert not R_star(c, ClosureCT(Catch(Lam(Throw(1, Var(1)))), env, NIL))  # label differs
     assert not R_star(_it(Throw(0, Var(0)), 1, plist([1])), ClosureCT(Throw(0, Var(0)), NIL, NIL))
+
+
+def test_star_rejects_a_non_int_index_or_label():
+    # True would pass the range checks and then index a plist, which takes only an int
+    env = plist([_it(IDENT)])
+    ct_env = plist([ClosureCT(IDENT, NIL, NIL)])
+    assert R_star(_it(Var(1), 1, plist([1, 0]), env=env), ClosureCT(Var(1), ct_env, NIL))
+    assert not R_star(_it(Var(True), 1, plist([1, 0]), env=env), ClosureCT(Var(1), ct_env, NIL))
+    labels = plist([NIL])
+    ct = ClosureCT(Catch(Throw(1, IDENT)), NIL, labels)
+    assert R_star(_it(Catch(Throw(1, IDENT)), table=plist([NIL]), mu_env=labels), ct)
+    assert not R_star(_it(Catch(Throw(True, IDENT)), table=plist([NIL]), mu_env=labels), ct)
+
+
+def test_relations_check_the_class_of_the_it_side():
+    # an it closure's environment holding a state, not a closure, relates to nothing
+    for inner, related in ((_it(IDENT), True), (StateIT(IDENT, 0, NIL, NIL, NIL, NIL, NIL), False)):
+        it = _it(Var(0), 1, plist([1]), env=plist([inner]))
+        assert R_star(it, ClosureCT(Var(0), plist([ClosureCT(IDENT, NIL, NIL)]), NIL)) is related
+        assert R_diamond(it, ClosureGS(Var(0), plist([ClosureGS(IDENT, NIL, NIL, NIL)]), NIL, NIL)) is related
 
 
 # ---------------------------------------------------------------------------

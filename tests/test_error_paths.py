@@ -238,3 +238,19 @@ def test_a_subclass_of_a_term_class_is_not_a_term(function, term, message):
     with pytest.raises(TypeError) as exc_info:
         function(term)
     assert str(exc_info.value) == message
+
+
+CLOSED_TERM_LAYERS = [
+    *(pytest.param(function, N_ID, id=function.__name__)
+      for function in (is_safe, use_sets, safe_named, to_debruijn_ct, to_debruijn_gs)),
+    *(pytest.param(function, ID, id=function.__name__)
+      for function in (safe_db, down, lift, is_closed_ct, is_scoped_gs)),
+]
+
+
+@pytest.mark.parametrize("function, term", CLOSED_TERM_LAYERS)
+def test_a_term_layer_takes_the_term_alone(function, term):
+    # every layer judges or converts a closed term from the empty context
+    assert function(term) is not None
+    with pytest.raises(TypeError, match=r"takes 1 positional argument but 2 were given"):
+        function(term, 0)

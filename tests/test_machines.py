@@ -4,7 +4,7 @@ import random
 import pytest
 
 from coroutine_vm import machines, terms
-from coroutine_vm.bisim import lockstep
+from coroutine_vm.bisim import describe_state, lockstep
 from coroutine_vm.debruijn import to_debruijn_ct, to_debruijn_gs
 from coroutine_vm.errors import OpenTermError, WorkbenchError
 from coroutine_vm.gen import gen_gs_db
@@ -26,10 +26,10 @@ from coroutine_vm.machines import (
     StateIT,
     TraceEvent,
     applicable_rules,
-    default_max_steps,
     initial_ct,
     initial_gs,
     initial_it,
+    resolve_max_steps,
     run,
     step,
 )
@@ -260,13 +260,13 @@ def test_rerun_from_saved_state_reproduces_suffix():
 
 def test_max_steps_env_override(monkeypatch):
     monkeypatch.setenv("COROUTINE_VM_MAX_STEPS", "7")
-    assert default_max_steps() == 7
+    assert resolve_max_steps(None) == 7
     omega = to_debruijn_ct(parse_ct(r"(\x. x x) (\x. x x)"))
     result = run(omega, "ct")
     assert result.kind == "fuel_exhausted"
     assert result.steps == 7
     monkeypatch.delenv("COROUTINE_VM_MAX_STEPS")
-    assert default_max_steps() == 1_000_000
+    assert resolve_max_steps(None) == 1_000_000
 
 
 def test_negative_fuel_rejected(monkeypatch):
@@ -325,6 +325,33 @@ def test_step_rejects_a_state_of_no_machine():
     for state in (object(), ClosureCT(Lam(Var(0)), NIL, NIL), MyStateCT(Lam(Var(0)), NIL, NIL, NIL)):
         with pytest.raises(TypeError, match=r"^not a machine state: "):
             step(state)
+
+
+# A state of each machine whose variable #0 is bound, by its term.
+BOUND_VAR = {
+    "ct": lambda t: StateCT(t, plist([ClosureCT(Lam(Var(0)), NIL, NIL)]), NIL, NIL),
+    "gs": lambda t: StateGS(t, plist([ClosureGS(Lam(Var(0)), NIL, NIL, NIL)]), NIL, NIL, NIL),
+    "it": lambda t: StateIT(t, 1, plist([1]), NIL, plist([ClosureIT(Lam(Var(0)), 0, NIL, NIL, NIL, NIL)]), NIL, NIL),
+}
+
+
+@pytest.mark.parametrize("machine", sorted(BOUND_VAR))
+def test_the_rule_oracle_takes_the_classes_step_takes(machine):
+    class MyVar(Var):
+        __slots__ = ()
+
+    state = BOUND_VAR[machine](Var(0))
+    assert applicable_rules(state) == [RULE_VAR] == [step(state)[0]]
+    odd_term = BOUND_VAR[machine](MyVar(0))
+    assert applicable_rules(odd_term) == []  # no rule: step raises
+    with pytest.raises(TypeError, match=r"^not a \w+/\w+ term: "):
+        step(odd_term)
+    subclass = type(f"My{type(state).__name__}", (type(state),), {"__slots__": ()})
+    odd_state = subclass(*(getattr(state, f.name) for f in dataclasses.fields(state)))
+    for value in (odd_state, 42):
+        for function in (step, applicable_rules, describe_state):
+            with pytest.raises(TypeError, match=r"^not a machine state: "):
+                function(value)
 
 
 def _runs_to_compare(corpus_dir):

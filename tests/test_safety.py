@@ -7,8 +7,7 @@ from coroutine_vm.debruijn import to_debruijn_ct
 from coroutine_vm.errors import OpenMuTermError, flatten_path
 from coroutine_vm.gen import gen_named_ct, gen_named_gs
 from coroutine_vm.parser import parse_ct
-from coroutine_vm.plist import plist
-from coroutine_vm.safety import UseSets, VisibleEnv, is_safe, safe_db, safe_named, use_sets
+from coroutine_vm.safety import UseSets, is_safe, safe_db, safe_named, use_sets
 from coroutine_vm.terms import Catch, Lam, NApp, NCatch, NLam, NThrow, NVar, Throw, Var
 from named_terms import shadowed, subterms
 
@@ -49,13 +48,13 @@ def test_reified_continuation_is_never_safe():
 def test_safe_named_examples():
     assert safe_named(parse_ct(SAFE))
     assert not safe_named(parse_ct(UNSAFE))
-    assert safe_named(NVar("x"), VisibleEnv(v=("x",)))
-    assert not safe_named(NVar("x"), VisibleEnv())
+    assert safe_named(NLam("x", NVar("x")))
+    assert not safe_named(NVar("x"))
 
 
 def test_safe_named_open_label_raises():
     with pytest.raises(OpenMuTermError):
-        safe_named(NThrow("a", NVar("x")), VisibleEnv(v=("x",)))
+        safe_named(NLam("x", NThrow("a", NVar("x"))))
 
 
 def test_safe_db_examples():
@@ -67,12 +66,6 @@ def test_safe_db_examples():
 def test_safe_db_open_label_raises():
     with pytest.raises(OpenMuTermError):
         safe_db(Throw(0, Lam(Var(0))))
-
-
-def test_safe_db_with_explicit_context():
-    # a context where depth 1 is visible: variable #1 at depth 2 refers to it
-    assert safe_db(Var(1), depth=2, vec=plist([1]))
-    assert not safe_db(Var(0), depth=2, vec=plist([1]))
 
 
 def test_three_judgments_agree_on_closed_terms():
@@ -199,10 +192,9 @@ def test_non_term_under_binder_raises_type_error():
 # ---------------------------------------------------------------------------
 
 
-def spec_safe_named(t, env=None):
+def spec_safe_named(t):
     """The recursive judgment over a visible tuple and a label dict, both copied per binder."""
-    env = env or VisibleEnv()
-    return _spec_safe_named(t, env.v, dict(env.v_mu), None)
+    return _spec_safe_named(t, (), {}, None)
 
 
 def _spec_safe_named(t, v, v_mu, path):
@@ -229,8 +221,8 @@ def named_outcome(function, *args):
         return (type(exc), str(exc), exc.path)
 
 
-def assert_safe_named_matches_spec(term, env=None):
-    assert named_outcome(safe_named, term, env) == named_outcome(spec_safe_named, term, env)
+def assert_safe_named_matches_spec(term):
+    assert named_outcome(safe_named, term) == named_outcome(spec_safe_named, term)
 
 
 def test_safe_named_matches_spec_on_generated_terms():
@@ -244,15 +236,19 @@ def test_safe_named_matches_spec_on_generated_terms():
     assert verdicts == {True, False}
 
 
+def under_context(sub):
+    """catch k1. \\x0. catch k0. \\x1. \\x0. sub: sub sees x0, x1, x0; k0 sees x0 and k1 nothing."""
+    return NCatch("k1", NLam("x0", NCatch("k0", NLam("x1", NLam("x0", sub)))))
+
+
 def test_safe_named_matches_spec_on_open_subterms():
     rng = random.Random(44)
     outcomes = set()
-    env = VisibleEnv(v=("x0", "x1", "x0"), v_mu={"k0": ("x0",), "k1": ()})
     for _ in range(300):
         for term in (gen_named_ct(rng, rng.randint(5, 30), unsafe_ok=True), gen_named_gs(rng, rng.randint(5, 30))):
             for sub in subterms(term):
                 assert_safe_named_matches_spec(sub)
-                assert_safe_named_matches_spec(sub, env)
+                assert_safe_named_matches_spec(under_context(sub))
                 result = named_outcome(safe_named, sub)
                 outcomes.add(result if isinstance(result, bool) else (result[0], bool(result[2])))
     assert outcomes == {True, False, (OpenMuTermError, True), (OpenMuTermError, False)}

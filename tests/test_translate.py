@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from coroutine_vm.errors import NotSafeError, OpenMuTermError, UnsafeLocalIndexError, WorkbenchError, format_path
+from coroutine_vm.errors import NotSafeError, OpenMuTermError, UnsafeLocalIndexError
 from coroutine_vm.gen import gen_ct_db, gen_gs_db
-from coroutine_vm.plist import plist
 from coroutine_vm.safety import safe_db
 from coroutine_vm.terms import App, Catch, Lam, Throw, Var
 from coroutine_vm.translate import down, lift
@@ -90,48 +89,3 @@ def test_structure_is_preserved():
     assert isinstance(translated.body.fn, Throw)
     assert translated.body.fn.label == 0
 
-
-# The context that the prefix \. catch. \. catch. \. _ builds around its
-# body: depth 3, every binder visible, and one snapshot per capture, newest
-# first. Each body is walked under the explicit context and under the prefix;
-# a body restoring a snapshot reads a vector out of the table argument.
-PREFIX_DEPTH = 5
-
-
-def under_prefix(body):
-    return Lam(Catch(Lam(Catch(Lam(body)))))
-
-
-def prefix_context():
-    return 3, plist([3, 2, 1]), plist([plist([2, 1]), plist([1])])
-
-
-def outcome(function, *args):
-    """The result, or the error's class, path and message with its path cut out."""
-    try:
-        return function(*args)
-    except WorkbenchError as exc:
-        return type(exc), exc.path, str(exc).replace(format_path(exc.path), "PATH")
-
-
-@pytest.mark.parametrize("body", [
-    Var(2),
-    Throw(1, Var(0)),
-    Throw(1, Var(2)),
-    Throw(0, Var(1)),
-    Throw(1, Var(1)),
-    Throw(2, Var(0)),
-    App(Var(0), Throw(0, Lam(Var(3)))),
-    Catch(Throw(0, Throw(2, Lam(Var(1))))),
-])
-@pytest.mark.parametrize("function", [down, lift, safe_db])
-def test_context_arguments_match_the_prefix_that_builds_them(function, body):
-    expected = outcome(function, under_prefix(body))
-    if isinstance(expected, tuple):
-        error, path, message = expected
-        assert path[:PREFIX_DEPTH] == ("body",) * PREFIX_DEPTH
-        expected = error, path[PREFIX_DEPTH:], message
-    elif not isinstance(expected, bool):
-        for _ in range(PREFIX_DEPTH):
-            expected = expected.body
-    assert outcome(function, body, *prefix_context()) == expected
