@@ -22,9 +22,6 @@ from .errors import (
 )
 from .machines import (
     MACHINES,
-    ClosureCT,
-    ClosureGS,
-    ClosureIT,
     RunResult,
     StateCT,
     StateGS,

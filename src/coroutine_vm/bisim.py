@@ -1,7 +1,8 @@
 """Lock-step simulation checks between the three machines.
 
-The it machine is the pivot. Two simulation relations tie its states (and
-closures) to those of the other machines:
+The it machine is the pivot. Two simulation relations tie its states to
+those of the other machines. A closure is a state with stack=NIL, so the
+same relations relate closures, whose two empty stacks need no check:
 
   * R_star(c, d) relates an it state c to a ct state d. d.term must be
     down(c.term) in c's own depth/vector/table context. A variable at local
@@ -42,9 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .machines import (
-    ClosureCT,
-    ClosureGS,
-    ClosureIT,
     RULE_FINAL,
     RULE_STUCK,
     State,
@@ -94,32 +92,31 @@ _ELEMENT = {
 }
 
 
-def R_star(it: StateIT | ClosureIT, ct: StateCT | ClosureCT, memo: dict | None = None) -> bool:
-    """Does the ct state (or closure) simulate the it state (or closure)?"""
+def R_star(it: StateIT, ct: StateCT, memo: dict | None = None) -> bool:
+    """Does the ct state simulate the it state? Either may be a closure, a state with stack=NIL."""
     memo = {} if memo is None else memo
-    if type(ct) is not (StateCT if type(it) is StateIT else ClosureCT):
+    if type(it) is not StateIT or type(ct) is not StateCT:
         return False
     todo: list[tuple] = []
     return _star_fields(it, ct, todo, memo) and (not todo or _prove(todo, memo))
 
 
-def R_diamond(it: StateIT | ClosureIT, gs: StateGS | ClosureGS, memo: dict | None = None) -> bool:
-    """Does the gs state (or closure) simulate the it state (or closure)?"""
+def R_diamond(it: StateIT, gs: StateGS, memo: dict | None = None) -> bool:
+    """Does the gs state simulate the it state? Either may be a closure, a state with stack=NIL."""
     memo = {} if memo is None else memo
-    if type(gs) is not (StateGS if type(it) is StateIT else ClosureGS):
+    if type(it) is not StateIT or type(gs) is not StateGS:
         return False
     todo: list[tuple] = []
     return _diamond_fields(it, gs, todo, memo) and (not todo or _prove(todo, memo))
 
 
 def _star_fields(x, y, todo: list, memo: dict) -> bool:
-    """Probe the stack (of two states), environment, label and term pairs of x and y; queue the new ones."""
-    if type(y) is StateCT:
-        a, b = x.stack, y.stack
-        if a is not NIL or b is not NIL:
-            key = (_STAR_ENV, id(a), id(b))
-            if key not in memo:
-                todo.append(memo.setdefault(key, (_STAR_ENV, a, b)))
+    """Probe the stack (NIL on two closures: no key), environment, label and term pairs; queue the new ones."""
+    a, b = x.stack, y.stack
+    if a is not NIL or b is not NIL:
+        key = (_STAR_ENV, id(a), id(b))
+        if key not in memo:
+            todo.append(memo.setdefault(key, (_STAR_ENV, a, b)))
     a, b = x.env, y.env
     if a is not NIL or b is not NIL:
         key = (_STAR_ENV, id(a), id(b))
@@ -139,13 +136,12 @@ def _star_fields(x, y, todo: list, memo: dict) -> bool:
 
 
 def _diamond_fields(x, y, todo: list, memo: dict) -> bool:
-    """Probe the stack (of two states), local environment, table and label pairs of x and y; queue the new ones."""
-    if type(y) is StateGS:
-        a, b = x.stack, y.stack
-        if a is not NIL or b is not NIL:
-            key = (_DIAMOND_ENV, id(a), id(b))
-            if key not in memo:
-                todo.append(memo.setdefault(key, (_DIAMOND_ENV, a, b)))
+    """Probe the stack (NIL on two closures: no key), local environment, table and label pairs; queue the new ones."""
+    a, b = x.stack, y.stack
+    if a is not NIL or b is not NIL:
+        key = (_DIAMOND_ENV, id(a), id(b))
+        if key not in memo:
+            todo.append(memo.setdefault(key, (_DIAMOND_ENV, a, b)))
     depth, env = x.depth, x.env
     a, b = x.vec, y.lenv
     if a is not NIL or b is not NIL:
@@ -175,11 +171,11 @@ def _prove(todo: list, memo: dict) -> bool:
         item = todo.pop()
         kind, x, y = item[0], item[1], item[2]
         if kind == _STAR_CLOSURE:
-            if type(x) is not ClosureIT or type(y) is not ClosureCT or not _star_fields(x, y, todo, memo):
+            if type(x) is not StateIT or type(y) is not StateCT or not _star_fields(x, y, todo, memo):
                 return False
             continue
         if kind == _DIAMOND_CLOSURE:
-            if type(x) is not ClosureIT or type(y) is not ClosureGS or not _diamond_fields(x, y, todo, memo):
+            if type(x) is not StateIT or type(y) is not StateGS or not _diamond_fields(x, y, todo, memo):
                 return False
             continue
         if type(y) is not PList or x.length != y.length:

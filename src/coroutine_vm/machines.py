@@ -2,6 +2,8 @@
 
 All three are Krivine-style: weak head reduction, arguments pushed as
 closures, an abstraction meeting an empty stack is the final configuration.
+Each machine has one record, its state class. A closure (an environment,
+label-stack or stack entry, or the final value) is a state with stack=NIL.
 
   * ct machine: catch/throw terms with global indices; catch snapshots the
     current stack per label, throw reinstates a snapshot.
@@ -20,24 +22,24 @@ Each machine is one entry of MACHINES: its state class, its initial-state
 builder and its rule table, a dict from term class to a rule
 (state, term) -> (rule, successor), with every rule written once. The rule
 is one of the RULE_* tags naming the rule applied, and the successor is the
-next state for a transition, the value closure for RULE_FINAL, or the reason
-string for RULE_STUCK. step serves all three machines: the exact class of the
-state picks the rule table, and the exact class of its term, type(term), the
-rule, so a subclass of a state or term class has no rule and raises
-TypeError. run looks up the same table itself and so saves a call per step.
-applicable_rules is written from the rules' guards and never reads the
-tables: it is the independent oracle that the determinism checks hold the
-tables to.
+next state for a transition, the final state itself for RULE_FINAL, or the
+reason string for RULE_STUCK. step serves all three machines: the exact
+class of the state picks the rule table, and the exact class of its term,
+type(term), the rule, so a subclass of a state or term class has no rule
+and raises TypeError. run looks up the same table itself and so saves a
+call per step. applicable_rules is written from the rules' guards and never
+reads the tables: it is the independent oracle that the determinism checks
+hold the tables to.
 
 Rules are pure and never mutate. Environments, stacks, vectors and tables
 are persistent lists, so every capture is O(1) and shares structure.
 
-States, closures and trace events are frozen slots dataclasses; their
-__init__ stores each field directly through its slot (see
-terms._direct_init), so a step costs no generic object.__setattr__ calls
-and records still reject assignment. run prints each subterm's trace head
-once per call, not once per step: the machines never build terms, so every
-head is a subterm of the input.
+States and trace events are frozen slots dataclasses; their __init__ stores
+each field directly through its slot (see terms._direct_init), so a step
+costs no generic object.__setattr__ calls and records still reject
+assignment. run prints each subterm's trace head once per call, not once per
+step: the machines never build terms, so every head is a subterm of the
+input.
 """
 
 from __future__ import annotations
@@ -99,55 +101,21 @@ def resolve_max_steps(max_steps: int | None) -> int:
 
 @_direct_init
 @dataclass(frozen=True, slots=True)
-class ClosureCT:
-    term: TermCT
-    env: PList  # of ClosureCT
-    mu_env: PList  # of stacks (PList of ClosureCT)
-
-
-@_direct_init
-@dataclass(frozen=True, slots=True)
 class StateCT:
     term: TermCT
-    env: PList
-    mu_env: PList
-    stack: PList  # of ClosureCT
-
-    def closure(self) -> ClosureCT:
-        return ClosureCT(self.term, self.env, self.mu_env)
-
-
-@_direct_init
-@dataclass(frozen=True, slots=True)
-class ClosureGS:
-    term: TermGS
-    lenv: PList  # of ClosureGS
-    lenv_mu: PList  # of local environments
-    mu_env: PList  # of stacks; same length as lenv_mu (same labels)
+    env: PList  # of closures
+    mu_env: PList  # of stacks (PList of closures)
+    stack: PList  # of closures
 
 
 @_direct_init
 @dataclass(frozen=True, slots=True)
 class StateGS:
     term: TermGS
-    lenv: PList
-    lenv_mu: PList
-    mu_env: PList
+    lenv: PList  # of closures
+    lenv_mu: PList  # of local environments
+    mu_env: PList  # of stacks; same length as lenv_mu (same labels)
     stack: PList
-
-    def closure(self) -> ClosureGS:
-        return ClosureGS(self.term, self.lenv, self.lenv_mu, self.mu_env)
-
-
-@_direct_init
-@dataclass(frozen=True, slots=True)
-class ClosureIT:
-    term: TermGS
-    depth: int
-    vec: PList  # of binder depths, strictly decreasing
-    table: PList  # of vectors; same length as mu_env
-    env: PList  # of ClosureIT, global
-    mu_env: PList  # of stacks
 
 
 @_direct_init
@@ -155,20 +123,16 @@ class ClosureIT:
 class StateIT:
     term: TermGS
     depth: int
-    vec: PList
-    table: PList
-    env: PList
-    mu_env: PList
+    vec: PList  # of binder depths, strictly decreasing
+    table: PList  # of vectors; same length as mu_env
+    env: PList  # of closures, global
+    mu_env: PList  # of stacks
     stack: PList
-
-    def closure(self) -> ClosureIT:
-        return ClosureIT(self.term, self.depth, self.vec, self.table, self.env, self.mu_env)
 
 
 State = Union[StateCT, StateGS, StateIT]
-Closure = Union[ClosureCT, ClosureGS, ClosureIT]
 
-Step = tuple[str, Union[State, Closure, str]]  # (rule, successor)
+Step = tuple[str, Union[State, str]]  # (rule, successor)
 Rule = Callable[[State, Term], Step]  # (state, state.term) -> (rule, successor)
 
 # ---------------------------------------------------------------------------
@@ -179,18 +143,18 @@ Rule = Callable[[State, Term], Step]  # (state, state.term) -> (rule, successor)
 def _ct_var(s: StateCT, t: Var) -> Step:
     if t.index >= s.env.length:
         return RULE_STUCK, UNBOUND_VAR
-    entered: ClosureCT = s.env[t.index]
+    entered: StateCT = s.env[t.index]
     return RULE_VAR, StateCT(entered.term, entered.env, entered.mu_env, s.stack)
 
 
 def _ct_app(s: StateCT, t: App) -> Step:
-    pushed = ClosureCT(t.arg, s.env, s.mu_env)
+    pushed = StateCT(t.arg, s.env, s.mu_env, NIL)
     return RULE_APP, StateCT(t.fn, s.env, s.mu_env, s.stack.cons(pushed))
 
 
 def _ct_lam(s: StateCT, t: Lam) -> Step:
     if s.stack is NIL:
-        return RULE_FINAL, s.closure()
+        return RULE_FINAL, s
     return RULE_LAM, StateCT(t.body, s.env.cons(s.stack.head), s.mu_env, s.stack.tail)
 
 
@@ -207,18 +171,18 @@ def _ct_throw(s: StateCT, t: Throw) -> Step:
 def _gs_var(s: StateGS, t: Var) -> Step:
     if t.index >= s.lenv.length:
         return RULE_STUCK, UNBOUND_VAR
-    entered: ClosureGS = s.lenv[t.index]
+    entered: StateGS = s.lenv[t.index]
     return RULE_VAR, StateGS(entered.term, entered.lenv, entered.lenv_mu, entered.mu_env, s.stack)
 
 
 def _gs_app(s: StateGS, t: App) -> Step:
-    pushed = ClosureGS(t.arg, s.lenv, s.lenv_mu, s.mu_env)
+    pushed = StateGS(t.arg, s.lenv, s.lenv_mu, s.mu_env, NIL)
     return RULE_APP, StateGS(t.fn, s.lenv, s.lenv_mu, s.mu_env, s.stack.cons(pushed))
 
 
 def _gs_lam(s: StateGS, t: Lam) -> Step:
     if s.stack is NIL:
-        return RULE_FINAL, s.closure()
+        return RULE_FINAL, s
     return RULE_LAM, StateGS(t.body, s.lenv.cons(s.stack.head), s.lenv_mu, s.mu_env, s.stack.tail)
 
 
@@ -238,20 +202,20 @@ def _it_var(s: StateIT, t: Var) -> Step:
     resolved = s.depth - s.vec[t.index]
     if resolved < 0 or resolved >= s.env.length:
         return RULE_STUCK, UNBOUND_VAR
-    entered: ClosureIT = s.env[resolved]
+    entered: StateIT = s.env[resolved]
     return RULE_VAR, StateIT(
         entered.term, entered.depth, entered.vec, entered.table, entered.env, entered.mu_env, s.stack
     )
 
 
 def _it_app(s: StateIT, t: App) -> Step:
-    pushed = ClosureIT(t.arg, s.depth, s.vec, s.table, s.env, s.mu_env)
+    pushed = StateIT(t.arg, s.depth, s.vec, s.table, s.env, s.mu_env, NIL)
     return RULE_APP, StateIT(t.fn, s.depth, s.vec, s.table, s.env, s.mu_env, s.stack.cons(pushed))
 
 
 def _it_lam(s: StateIT, t: Lam) -> Step:
     if s.stack is NIL:
-        return RULE_FINAL, s.closure()
+        return RULE_FINAL, s
     deeper = s.depth + 1
     return RULE_LAM, StateIT(
         t.body, deeper, s.vec.cons(deeper), s.table, s.env.cons(s.stack.head), s.mu_env, s.stack.tail
@@ -333,21 +297,24 @@ def step(s: State) -> Step:
 
 
 def _var_guard(s: State) -> bool:
-    term = s.term
-    if type(s) is StateCT:
-        return term.index < s.env.length
-    if type(s) is StateGS:
-        return term.index < s.lenv.length
-    if term.index >= s.vec.length:
+    index = s.term.index
+    if type(index) is not int or index < 0:
         return False
-    return 0 <= s.depth - s.vec[term.index] < s.env.length
+    if type(s) is StateCT:
+        return index < s.env.length
+    if type(s) is StateGS:
+        return index < s.lenv.length
+    return index < s.vec.length and 0 <= s.depth - s.vec[index] < s.env.length
 
 
 def _restore_guard(s: State) -> bool:
+    label = s.term.label
+    if type(label) is not int or label < 0:
+        return False
     if type(s) is StateCT:
-        return s.term.label < s.mu_env.length
+        return label < s.mu_env.length
     labels = s.lenv_mu if type(s) is StateGS else s.table
-    return labels.length == s.mu_env.length and s.term.label < labels.length
+    return labels.length == s.mu_env.length and label < labels.length
 
 
 def applicable_rules(s: State) -> list[str]:
@@ -358,7 +325,8 @@ def applicable_rules(s: State) -> list[str]:
     is tested against something other than the rule tables' own dispatch.
     Classes are tested exactly, as in step: a value of no state class raises
     step's TypeError, a term of no term class has no rule, and both guards
-    of an abstraction are evaluated.
+    of an abstraction are evaluated. An index or label guard holds only for
+    an int >= 0, the only kind step can use.
     """
     state = type(s)
     if state is not StateCT and state is not StateGS and state is not StateIT:
@@ -409,7 +377,7 @@ class TraceEvent:
 class RunResult:
     kind: str  # "final", "stuck", "fuel_exhausted"
     steps: int
-    closure: Closure | None = None
+    closure: State | None = None  # the final state; its stack is NIL
     reason: str | None = None
     last_state: State | None = None
     events: tuple[TraceEvent, ...] | None = None

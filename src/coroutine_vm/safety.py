@@ -9,10 +9,10 @@ cross-checked by the test suite:
     use set of a label free in its body. One bottom-up pass over an explicit
     stack builds each node's sets once and tests each binder on the way up,
     so both take time linear in the term at any nesting depth;
-  * safe_named: thread the visible-variable list per coroutine down
-    the term and test membership at each variable. It walks an explicit
-    work list and the lists are linked, so a binder conses one pair and the
-    walk runs at any nesting depth;
+  * safe_named: thread the lexical scope and the visible binders per
+    coroutine down the term, and test at each variable that its binder is
+    visible. It walks an explicit work list and the lists are linked, so a
+    binder conses two tuples and the walk runs at any nesting depth;
   * safe_db: the index-form judgment over depth vectors, used by
     the translation and the machines. It walks the same way, with binder
     depths for names and one linked vector per label in scope.
@@ -139,20 +139,23 @@ def _merge(a: dict[str, set[str]], b: dict[str, set[str]]) -> dict[str, set[str]
 
 
 def safe_named(t: NamedTermCT) -> bool:
-    """Visibility judgment: every variable must be visible in its own coroutine.
+    """Visibility judgment: every variable's binder must be visible in its own coroutine.
 
     The walk starts from the empty context, so a free variable is invisible
     and a free label raises OpenMuTermError.
 
-    Each visit carries its visible list as a linked list (name, rest), None
-    when empty. Each label maps to the stack of its visible lists in scope:
-    a capture pushes one, and the capture node, queued under its body, pops
-    it once the body is done. Subterms are visited left to right and the
-    walk stops at the first invisible variable, so the error raised, if
-    any, is the one a recursive walk would raise.
+    Each visit carries its lexical scope, linked (name, rest), and its
+    visible list, linked (cell, rest), of the scope cells of the binders its
+    coroutine sees; None when empty. A variable denotes the innermost scope
+    cell of its name and is visible iff that cell is in the visible list.
+    Each label maps to the stack of its visible lists in scope: a capture
+    pushes one, and the capture node, queued under its body, pops it once
+    the body is done. Subterms are visited left to right and the walk stops
+    at the first invisible variable, so the error raised, if any, is the one
+    a recursive walk would raise.
     """
     v_mu: dict = {}
-    todo: list = [(t, None)]
+    todo: list = [(t, None, None)]
     visits = 0
     push, pop = todo.append, todo.pop
     while todo:
@@ -160,29 +163,34 @@ def safe_named(t: NamedTermCT) -> bool:
         if type(item) is not tuple:  # a capture whose body is done
             v_mu[item.label].pop()
             continue
-        node, v = item
+        node, scope, v = item
         visits += 1
         cls = type(node)
         if cls is NVar:
             name = node.name
-            while v is not None and v[0] != name:
+            while scope is not None and scope[0] != name:
+                scope = scope[1]
+            if scope is None:
+                return False
+            while v is not None and v[0] is not scope:
                 v = v[1]
             if v is None:
                 return False
         elif cls is NApp:
-            push((node.arg, v))
-            push((node.fn, v))
+            push((node.arg, scope, v))
+            push((node.fn, scope, v))
         elif cls is NLam:
-            push((node.body, (node.param, v)))
+            scope = (node.param, scope)
+            push((node.body, scope, (scope, v)))
         elif cls is NCatch:
             v_mu.setdefault(node.label, []).append(v)
             push(node)
-            push((node.body, v))
+            push((node.body, scope, v))
         elif cls is NThrow:
             stack = v_mu.get(node.label)
             if not stack:
                 raise OpenMuTermError(node.label, sum(1 for s in v_mu.values() if s), path_at(t, visits))
-            push((node.body, stack[-1]))
+            push((node.body, scope, stack[-1]))
         else:
             raise TypeError(f"not a named catch/throw term: {node!r}")
     return True

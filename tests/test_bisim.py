@@ -14,9 +14,6 @@ from coroutine_vm.machines import (
     MACHINES,
     RULE_FINAL,
     RULE_STUCK,
-    ClosureCT,
-    ClosureGS,
-    ClosureIT,
     StateCT,
     StateGS,
     StateIT,
@@ -48,7 +45,7 @@ def _trace(state):
 
 
 def _it(term, depth=0, vec=NIL, table=NIL, env=NIL, mu_env=NIL):
-    return ClosureIT(term, depth, vec, table, env, mu_env)
+    return StateIT(term, depth, vec, table, env, mu_env, NIL)
 
 
 # ---------------------------------------------------------------------------
@@ -64,17 +61,17 @@ def test_star_of_initial_state_is_initial_compiled_state():
 
 def test_star_closure_with_empty_environments():
     c = _it(IDENT)
-    assert R_star(c, ClosureCT(IDENT, NIL, NIL))
-    assert not R_star(c, ClosureCT(IDENT, plist([ClosureCT(IDENT, NIL, NIL)]), NIL))
-    assert not R_star(c, ClosureCT(IDENT, NIL, plist([NIL])))
+    assert R_star(c, StateCT(IDENT, NIL, NIL, NIL))
+    assert not R_star(c, StateCT(IDENT, plist([StateCT(IDENT, NIL, NIL, NIL)]), NIL, NIL))
+    assert not R_star(c, StateCT(IDENT, NIL, plist([NIL]), NIL))
 
 
 def test_star_closure_after_one_bind():
     bound = _it(Var(0), 1, plist([1]), env=plist([_it(IDENT)]))
-    assert R_star(bound, ClosureCT(Var(0), plist([ClosureCT(IDENT, NIL, NIL)]), NIL))
-    assert not R_star(bound, ClosureCT(Var(1), plist([ClosureCT(IDENT, NIL, NIL)]), NIL))
-    assert not R_star(bound, ClosureCT(Var(0), plist([ClosureCT(Var(0), NIL, NIL)]), NIL))
-    assert not R_star(bound, ClosureCT(Var(0), NIL, NIL))
+    assert R_star(bound, StateCT(Var(0), plist([StateCT(IDENT, NIL, NIL, NIL)]), NIL, NIL))
+    assert not R_star(bound, StateCT(Var(1), plist([StateCT(IDENT, NIL, NIL, NIL)]), NIL, NIL))
+    assert not R_star(bound, StateCT(Var(0), plist([StateCT(Var(0), NIL, NIL, NIL)]), NIL, NIL))
+    assert not R_star(bound, StateCT(Var(0), NIL, NIL, NIL))
 
 
 def test_star_relates_whole_demo_traces():
@@ -93,15 +90,15 @@ def test_star_maps_stacks_elementwise():
     k = next(k for k, s in enumerate(it_states) if len(s.stack) > 0)
     assert R_star(it_states[k], ct_states[k])
     assert not R_star(it_states[k], replace(ct_states[k], stack=ct_states[k].stack.tail))
-    assert not R_star(it_states[k], replace(ct_states[k], stack=plist([ClosureCT(Var(0), NIL, NIL)])))
+    assert not R_star(it_states[k], replace(ct_states[k], stack=plist([StateCT(Var(0), NIL, NIL, NIL)])))
 
 
 def test_star_rejects_unsafe_embedded_closure():
     broken = _it(Var(0))  # empty vector: nothing visible
     for index in range(3):
-        assert not R_star(broken, ClosureCT(Var(index), NIL, NIL))
+        assert not R_star(broken, StateCT(Var(index), NIL, NIL, NIL))
     holder = _it(IDENT, 1, plist([1]), env=plist([broken]))
-    assert not R_star(holder, ClosureCT(IDENT, plist([ClosureCT(Var(0), NIL, NIL)]), NIL))
+    assert not R_star(holder, StateCT(IDENT, plist([StateCT(Var(0), NIL, NIL, NIL)]), NIL, NIL))
 
 
 def test_star_walks_labels_through_the_table():
@@ -109,32 +106,40 @@ def test_star_walks_labels_through_the_table():
     # inner binder sees depth 2 through [2, 1], the throw switches back to [1]
     term = Catch(Lam(Throw(0, Var(0))))
     c = _it(term, 1, plist([1]), env=plist([_it(IDENT)]))
-    env = plist([ClosureCT(IDENT, NIL, NIL)])
+    env = plist([StateCT(IDENT, NIL, NIL, NIL)])
     assert down(Lam(term)) == Lam(Catch(Lam(Throw(0, Var(1)))))
-    assert R_star(c, ClosureCT(Catch(Lam(Throw(0, Var(1)))), env, NIL))
-    assert not R_star(c, ClosureCT(Catch(Lam(Throw(0, Var(0)))), env, NIL))  # vector not switched
-    assert not R_star(c, ClosureCT(Catch(Lam(Throw(1, Var(1)))), env, NIL))  # label differs
-    assert not R_star(_it(Throw(0, Var(0)), 1, plist([1])), ClosureCT(Throw(0, Var(0)), NIL, NIL))
+    assert R_star(c, StateCT(Catch(Lam(Throw(0, Var(1)))), env, NIL, NIL))
+    assert not R_star(c, StateCT(Catch(Lam(Throw(0, Var(0)))), env, NIL, NIL))  # vector not switched
+    assert not R_star(c, StateCT(Catch(Lam(Throw(1, Var(1)))), env, NIL, NIL))  # label differs
+    assert not R_star(_it(Throw(0, Var(0)), 1, plist([1])), StateCT(Throw(0, Var(0)), NIL, NIL, NIL))
 
 
 def test_star_rejects_a_non_int_index_or_label():
     # True would pass the range checks and then index a plist, which takes only an int
     env = plist([_it(IDENT)])
-    ct_env = plist([ClosureCT(IDENT, NIL, NIL)])
-    assert R_star(_it(Var(1), 1, plist([1, 0]), env=env), ClosureCT(Var(1), ct_env, NIL))
-    assert not R_star(_it(Var(True), 1, plist([1, 0]), env=env), ClosureCT(Var(1), ct_env, NIL))
+    ct_env = plist([StateCT(IDENT, NIL, NIL, NIL)])
+    assert R_star(_it(Var(1), 1, plist([1, 0]), env=env), StateCT(Var(1), ct_env, NIL, NIL))
+    assert not R_star(_it(Var(True), 1, plist([1, 0]), env=env), StateCT(Var(1), ct_env, NIL, NIL))
     labels = plist([NIL])
-    ct = ClosureCT(Catch(Throw(1, IDENT)), NIL, labels)
+    ct = StateCT(Catch(Throw(1, IDENT)), NIL, labels, NIL)
     assert R_star(_it(Catch(Throw(1, IDENT)), table=plist([NIL]), mu_env=labels), ct)
     assert not R_star(_it(Catch(Throw(True, IDENT)), table=plist([NIL]), mu_env=labels), ct)
 
 
 def test_relations_check_the_class_of_the_it_side():
-    # an it closure's environment holding a state, not a closure, relates to nothing
-    for inner, related in ((_it(IDENT), True), (StateIT(IDENT, 0, NIL, NIL, NIL, NIL, NIL), False)):
+    # an it closure's environment entry must be an it closure: not another machine's, not a state with a stack
+    wrong = (StateCT(IDENT, NIL, NIL, NIL), StateGS(IDENT, NIL, NIL, NIL, NIL),
+             replace(_it(IDENT), stack=plist([_it(IDENT)])))
+    for inner, related in ((_it(IDENT), True),) + tuple((entry, False) for entry in wrong):
         it = _it(Var(0), 1, plist([1]), env=plist([inner]))
-        assert R_star(it, ClosureCT(Var(0), plist([ClosureCT(IDENT, NIL, NIL)]), NIL)) is related
-        assert R_diamond(it, ClosureGS(Var(0), plist([ClosureGS(IDENT, NIL, NIL, NIL)]), NIL, NIL)) is related
+        assert R_star(it, StateCT(Var(0), plist([StateCT(IDENT, NIL, NIL, NIL)]), NIL, NIL)) is related
+        assert R_diamond(it, StateGS(Var(0), plist([StateGS(IDENT, NIL, NIL, NIL, NIL)]), NIL, NIL, NIL)) is related
+    # nor is the it side itself of another class: False, not an error
+    ct, gs, it = (run(IDENT, machine).closure for machine in ("ct", "gs", "it"))
+    assert R_star(it, ct) and R_diamond(it, gs)
+    for other in (ct, gs, object()):
+        assert R_star(other, ct) is False
+        assert R_diamond(other, gs) is False
 
 
 # ---------------------------------------------------------------------------
@@ -144,30 +149,30 @@ def test_relations_check_the_class_of_the_it_side():
 
 def test_flatten_empty_vector():
     c = _it(IDENT, 5, env=plist([_it(IDENT)]))
-    assert R_diamond(c, ClosureGS(IDENT, NIL, NIL, NIL))
-    assert not R_diamond(c, ClosureGS(IDENT, plist([ClosureGS(IDENT, NIL, NIL, NIL)]), NIL, NIL))
+    assert R_diamond(c, StateGS(IDENT, NIL, NIL, NIL, NIL))
+    assert not R_diamond(c, StateGS(IDENT, plist([StateGS(IDENT, NIL, NIL, NIL, NIL)]), NIL, NIL, NIL))
 
 
 def test_flatten_singleton():
     c = _it(Var(0), 1, plist([1]), env=plist([_it(IDENT)]))
-    assert R_diamond(c, ClosureGS(Var(0), plist([ClosureGS(IDENT, NIL, NIL, NIL)]), NIL, NIL))
-    assert not R_diamond(c, ClosureGS(Var(0), NIL, NIL, NIL))
-    assert not R_diamond(replace(c, vec=plist([3])), ClosureGS(Var(0), plist([ClosureGS(IDENT, NIL, NIL, NIL)]), NIL, NIL))
+    assert R_diamond(c, StateGS(Var(0), plist([StateGS(IDENT, NIL, NIL, NIL, NIL)]), NIL, NIL, NIL))
+    assert not R_diamond(c, StateGS(Var(0), NIL, NIL, NIL, NIL))
+    assert not R_diamond(replace(c, vec=plist([3])), StateGS(Var(0), plist([StateGS(IDENT, NIL, NIL, NIL, NIL)]), NIL, NIL, NIL))
 
 
 def test_flatten_preserves_order():
     c1 = _it(IDENT)
     c2 = _it(Lam(Lam(Var(0))))
     env = plist([c2, c1])  # newest first: depth 2 binder at position 0
-    g1 = ClosureGS(c1.term, NIL, NIL, NIL)
-    g2 = ClosureGS(c2.term, NIL, NIL, NIL)
+    g1 = StateGS(c1.term, NIL, NIL, NIL, NIL)
+    g2 = StateGS(c2.term, NIL, NIL, NIL, NIL)
     c = _it(Var(0), 2, plist([2, 1]), env=env)
-    assert R_diamond(c, ClosureGS(Var(0), plist([g2, g1]), NIL, NIL))
-    assert not R_diamond(c, ClosureGS(Var(0), plist([g1, g2]), NIL, NIL))
+    assert R_diamond(c, StateGS(Var(0), plist([g2, g1]), NIL, NIL, NIL))
+    assert not R_diamond(c, StateGS(Var(0), plist([g1, g2]), NIL, NIL, NIL))
     # each table vector selects a label's local environment the same way
     tabled = replace(c, table=plist([plist([1]), NIL]), mu_env=plist([NIL, NIL]))
-    assert R_diamond(tabled, ClosureGS(Var(0), plist([g2, g1]), plist([plist([g1]), NIL]), plist([NIL, NIL])))
-    assert not R_diamond(tabled, ClosureGS(Var(0), plist([g2, g1]), plist([plist([g2]), NIL]), plist([NIL, NIL])))
+    assert R_diamond(tabled, StateGS(Var(0), plist([g2, g1]), plist([plist([g1]), NIL]), plist([NIL, NIL]), NIL))
+    assert not R_diamond(tabled, StateGS(Var(0), plist([g2, g1]), plist([plist([g2]), NIL]), plist([NIL, NIL]), NIL))
 
 
 def test_diamond_of_initial_state_is_initial_gs_state():
@@ -190,7 +195,7 @@ def test_diamond_after_lam_bind():
     it_states = _trace(initial_it(App(IDENT, IDENT)))
     bound = it_states[2]  # after the lam rule
     assert bound.depth == 1
-    gs_bound = StateGS(bound.term, plist([ClosureGS(IDENT, NIL, NIL, NIL)]), NIL, NIL, NIL)
+    gs_bound = StateGS(bound.term, plist([StateGS(IDENT, NIL, NIL, NIL, NIL)]), NIL, NIL, NIL)
     assert gs_bound == _trace(initial_gs(App(IDENT, IDENT)))[2]
     assert R_diamond(bound, gs_bound)
     assert not R_diamond(bound, replace(gs_bound, lenv=NIL))
@@ -198,14 +203,14 @@ def test_diamond_after_lam_bind():
 
 def test_diamond_carries_term_unchanged():
     c = _it(GS_DEMO)
-    assert R_diamond(c, ClosureGS(GS_DEMO, NIL, NIL, NIL))
-    assert R_diamond(c, ClosureGS(Catch(Throw(0, Lam(Var(0)))), NIL, NIL, NIL))  # equal, not shared
-    assert not R_diamond(c, ClosureGS(Catch(Throw(1, Lam(Var(0)))), NIL, NIL, NIL))
+    assert R_diamond(c, StateGS(GS_DEMO, NIL, NIL, NIL, NIL))
+    assert R_diamond(c, StateGS(Catch(Throw(0, Lam(Var(0)))), NIL, NIL, NIL, NIL))  # equal, not shared
+    assert not R_diamond(c, StateGS(Catch(Throw(1, Lam(Var(0)))), NIL, NIL, NIL, NIL))
     # the gs machine runs the term itself, not its translation: here down moves x from 0 to 1
     shifted = to_debruijn_gs(parse_gs(r"\x. getctx a. \y. setctx a x"))
     assert down(shifted) == Lam(Catch(Lam(Throw(0, Var(1))))) != shifted
-    assert R_diamond(_it(shifted), ClosureGS(shifted, NIL, NIL, NIL))
-    assert not R_diamond(_it(shifted), ClosureGS(down(shifted), NIL, NIL, NIL))
+    assert R_diamond(_it(shifted), StateGS(shifted, NIL, NIL, NIL, NIL))
+    assert not R_diamond(_it(shifted), StateGS(down(shifted), NIL, NIL, NIL, NIL))
 
 
 def test_diamond_rejects_an_extra_label_environment():
@@ -242,11 +247,11 @@ def test_a_vector_with_an_increasing_step_is_not_related():
     # cell its vector's head selects, which fixes the cells the later
     # entries select only if none of them exceeds the head
     c1, c2 = _it(IDENT), _it(Lam(Lam(Var(0))))
-    g1, g2 = ClosureGS(c1.term, NIL, NIL, NIL), ClosureGS(c2.term, NIL, NIL, NIL)
+    g1, g2 = StateGS(c1.term, NIL, NIL, NIL, NIL), StateGS(c2.term, NIL, NIL, NIL, NIL)
     c = _it(Var(0), 2, plist([1, 2]), env=plist([c2, c1]))
-    assert not R_diamond(c, ClosureGS(Var(0), plist([g1, g2]), NIL, NIL))
-    assert R_diamond(replace(c, vec=plist([2, 2])), ClosureGS(Var(0), plist([g2, g2]), NIL, NIL))
-    assert not R_diamond(replace(c, vec=plist([2, 2])), ClosureGS(Var(0), plist([g2, g1]), NIL, NIL))
+    assert not R_diamond(c, StateGS(Var(0), plist([g1, g2]), NIL, NIL, NIL))
+    assert R_diamond(replace(c, vec=plist([2, 2])), StateGS(Var(0), plist([g2, g2]), NIL, NIL, NIL))
+    assert not R_diamond(replace(c, vec=plist([2, 2])), StateGS(Var(0), plist([g2, g1]), NIL, NIL, NIL))
 
 
 def test_a_binder_step_reproves_only_its_new_pairs():
@@ -276,40 +281,39 @@ def test_a_binder_step_reproves_only_its_new_pairs():
 
 def test_relation_ignores_sharing_differences():
     c = _it(Var(0), 2, plist([2, 1]), env=plist([_it(IDENT), _it(IDENT)]))
-    shared = ClosureGS(IDENT, NIL, NIL, NIL)
-    assert R_diamond(c, ClosureGS(Var(0), plist([shared, shared]), NIL, NIL))
-    rebuilt = [ClosureGS(Lam(Var(0)), NIL, NIL, NIL) for _ in range(2)]
-    assert R_diamond(c, ClosureGS(Var(0), plist(rebuilt), NIL, NIL))
-    ct_env = plist([ClosureCT(Lam(Var(0)), NIL, NIL), ClosureCT(IDENT, NIL, NIL)])
-    assert R_star(replace(c, term=Lam(Var(1))), ClosureCT(Lam(Var(1)), ct_env, NIL))
+    shared = StateGS(IDENT, NIL, NIL, NIL, NIL)
+    assert R_diamond(c, StateGS(Var(0), plist([shared, shared]), NIL, NIL, NIL))
+    rebuilt = [StateGS(Lam(Var(0)), NIL, NIL, NIL, NIL) for _ in range(2)]
+    assert R_diamond(c, StateGS(Var(0), plist(rebuilt), NIL, NIL, NIL))
+    ct_env = plist([StateCT(Lam(Var(0)), NIL, NIL, NIL), StateCT(IDENT, NIL, NIL, NIL)])
+    assert R_star(replace(c, term=Lam(Var(1))), StateCT(Lam(Var(1)), ct_env, NIL, NIL))
 
 
 def test_relation_detects_differences():
-    gs_ident = ClosureGS(IDENT, NIL, NIL, NIL)
-    assert not R_diamond(_it(IDENT), ClosureGS(Lam(Lam(Var(0))), NIL, NIL, NIL))
-    assert not R_diamond(_it(Var(0), 1, plist([1]), env=plist([_it(IDENT)])), ClosureGS(Var(1), plist([gs_ident]), NIL, NIL))
-    assert not R_diamond(_it(Var(0)), ClosureGS(Lam(Var(0)), NIL, NIL, NIL))
-    assert not R_diamond(_it(IDENT), ClosureGS(IDENT, NIL, NIL, plist([NIL])))
-    assert not R_diamond(_it(IDENT, mu_env=plist([NIL])), ClosureGS(IDENT, NIL, NIL, plist([NIL, NIL])))
-    # exact types: a ct closure is not a gs closure, a state is not a closure, True is not 1
-    assert not R_diamond(_it(IDENT), ClosureCT(IDENT, NIL, NIL))
-    assert not R_diamond(initial_it(IDENT), ClosureGS(IDENT, NIL, NIL, NIL))
-    assert not R_star(_it(Var(0), 1, plist([0])), ClosureCT(Var(True), NIL, NIL))
-    assert R_star(_it(Var(0), 1, plist([0])), ClosureCT(Var(1), NIL, NIL))
-    assert not R_star(initial_it(IDENT), StateCT(IDENT, NIL, NIL, plist([ClosureCT(IDENT, NIL, NIL)])))
+    gs_ident = StateGS(IDENT, NIL, NIL, NIL, NIL)
+    assert not R_diamond(_it(IDENT), StateGS(Lam(Lam(Var(0))), NIL, NIL, NIL, NIL))
+    assert not R_diamond(_it(Var(0), 1, plist([1]), env=plist([_it(IDENT)])), StateGS(Var(1), plist([gs_ident]), NIL, NIL, NIL))
+    assert not R_diamond(_it(Var(0)), StateGS(Lam(Var(0)), NIL, NIL, NIL, NIL))
+    assert not R_diamond(_it(IDENT), StateGS(IDENT, NIL, NIL, plist([NIL]), NIL))
+    assert not R_diamond(_it(IDENT, mu_env=plist([NIL])), StateGS(IDENT, NIL, NIL, plist([NIL, NIL]), NIL))
+    # exact types: a ct closure is not a gs closure, True is not 1; a stack entry is not an empty stack
+    assert not R_diamond(_it(IDENT), StateCT(IDENT, NIL, NIL, NIL))
+    assert not R_star(_it(Var(0), 1, plist([0])), StateCT(Var(True), NIL, NIL, NIL))
+    assert R_star(_it(Var(0), 1, plist([0])), StateCT(Var(1), NIL, NIL, NIL))
+    assert not R_star(initial_it(IDENT), StateCT(IDENT, NIL, NIL, plist([StateCT(IDENT, NIL, NIL, NIL)])))
 
 
 def test_relation_on_dags_with_heavy_sharing():
     # environments whose unfolding doubles at each level are still checked once per node
-    it_c, ct_c, gs_c = _it(IDENT), ClosureCT(IDENT, NIL, NIL), ClosureGS(IDENT, NIL, NIL, NIL)
+    it_c, ct_c, gs_c = _it(IDENT), StateCT(IDENT, NIL, NIL, NIL), StateGS(IDENT, NIL, NIL, NIL, NIL)
     for depth in range(2, 202):
         it_c = _it(Var(0), depth, plist([depth, depth - 1]), env=plist([it_c] * depth))
-        ct_c = ClosureCT(Var(0), plist([ct_c] * depth), NIL)
-        gs_c = ClosureGS(Var(0), plist([gs_c, gs_c]), NIL, NIL)
+        ct_c = StateCT(Var(0), plist([ct_c] * depth), NIL, NIL)
+        gs_c = StateGS(Var(0), plist([gs_c, gs_c]), NIL, NIL, NIL)
     assert R_star(it_c, ct_c)
     assert R_diamond(it_c, gs_c)
-    assert not R_star(it_c, ClosureCT(Var(0), plist([ct_c] * 200), NIL))
-    assert not R_diamond(it_c, ClosureGS(Var(0), plist([gs_c, gs_c]), NIL, NIL))
+    assert not R_star(it_c, StateCT(Var(0), plist([ct_c] * 200), NIL, NIL))
+    assert not R_diamond(it_c, StateGS(Var(0), plist([gs_c, gs_c]), NIL, NIL, NIL))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +394,7 @@ def test_lockstep_detects_early_halt(monkeypatch):
         if type(state) is StateGS:
             calls["n"] += 1
             if calls["n"] == 2:
-                return RULE_FINAL, state.closure()
+                return RULE_FINAL, state
         return step(state)
 
     monkeypatch.setattr(bisim, "step", early_final)
@@ -429,12 +433,12 @@ def test_lockstep_composed_reports_earliest_divergence(monkeypatch):
     def extra_stack_entry(extra):
         return lambda rule, s: (rule, replace(s, stack=s.stack.cons(extra)))
 
-    ct_fault = extra_stack_entry(initial_ct(down(IDENT)).closure())
+    ct_fault = extra_stack_entry(initial_ct(down(IDENT)))
     monkeypatch.setattr(bisim, "step", _fault_at_call("ct", 4, ct_fault))
     alone = lockstep(OMEGA, "composed", 50)
     assert (alone.diverged_at, alone.detail) == (4, "it-state image differs from ct state at step 4")
 
-    gs_fault = extra_stack_entry(initial_gs(IDENT).closure())
+    gs_fault = extra_stack_entry(initial_gs(IDENT))
     monkeypatch.setattr(bisim, "step", _fault_at_call("gs", 2, gs_fault, _fault_at_call("ct", 4, ct_fault)))
     report = lockstep(OMEGA, "composed", 50)
     assert report.outcome == "diverged"
@@ -487,7 +491,7 @@ def test_lockstep_requires_exactly_one_applicable_rule(monkeypatch, machine, fou
     assert report.left == bisim.describe_state(state)
 
 
-_EXTRA = {"ct": ClosureCT(IDENT, NIL, NIL), "gs": ClosureGS(IDENT, NIL, NIL, NIL), "it": ClosureIT(IDENT, 0, NIL, NIL, NIL, NIL)}
+_EXTRA = {"ct": StateCT(IDENT, NIL, NIL, NIL), "gs": StateGS(IDENT, NIL, NIL, NIL, NIL), "it": _it(IDENT)}
 
 
 def _field_fault(machine, field):

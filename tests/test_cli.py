@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,12 @@ import coroutine_vm
 from coroutine_vm import cli
 from coroutine_vm.cli import main
 from coroutine_vm.debruijn import to_debruijn_ct, to_debruijn_gs
+from coroutine_vm.gen import gen_named_ct, gen_named_gs
 from coroutine_vm.parser import parse, parse_ct, parse_gs
 from coroutine_vm.safety import safe_db
-from coroutine_vm.terms import NLam, NVar
+from coroutine_vm.terms import NLam, NVar, print_term
 from coroutine_vm.translate import down
+from named_terms import shadowed
 
 
 def _corpus(corpus_dir, name):
@@ -353,3 +356,38 @@ def test_closed_stdout_is_not_a_traceback(args):
     proc.stderr.close()
     assert proc.wait(timeout=60) == cli.EXIT_INPUT, err
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract on seeded sources
+# ---------------------------------------------------------------------------
+
+CONTRACT_COMMANDS = (["parse"], ["check", "--lift"], ["compile"], ["run", "--max-steps", "200"],
+                     ["bisim", "--max-steps", "200"])
+
+
+def contract_sources(rng, count):
+    """(text, extension) pairs: printed terms whose names shadow each other, each beside one
+    variant with an open name, an open label or the other calculus's keywords."""
+    sources = [(r"\x. catch a. \x. throw a x", "ct"), (r"\x. getctx a. \x. setctx a x", "gs")]
+    while len(sources) < count:
+        calculus, other = rng.choice((("ct", "gs"), ("gs", "ct")))
+        size = rng.randint(1, 40)
+        term = shadowed(gen_named_ct(rng, size, unsafe_ok=True) if calculus == "ct" else gen_named_gs(rng, size), rng)
+        text = print_term(term, calculus)
+        restore = "throw" if calculus == "ct" else "setctx"
+        variant = rng.choice((f"({text}) z", f"{restore} q ({text})", print_term(term, other)))
+        sources += [(text, calculus), (variant, calculus)]
+    return sources
+
+
+def test_every_command_keeps_the_exit_code_contract(tmp_path, capsys):
+    # exit 0-3, and stderr holds only `error:` lines: no traceback, no internal disagreement or error
+    for k, (text, extension) in enumerate(contract_sources(random.Random(2113), 300)):
+        path = tmp_path / f"t{k}.{extension}"
+        path.write_text(text + "\n", encoding="utf-8")
+        for command in CONTRACT_COMMANDS:
+            code = main([command[0], str(path), *command[1:]])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (text, command)
+            assert all(line.startswith("error: ") for line in err.splitlines()), (text, command, err)

@@ -10,9 +10,6 @@ from coroutine_vm.errors import OpenTermError, WorkbenchError
 from coroutine_vm.gen import gen_gs_db
 from coroutine_vm.machines import (
     CALCULUS,
-    ClosureCT,
-    ClosureGS,
-    ClosureIT,
     MACHINES,
     RULE_APP,
     RULE_CAPTURE,
@@ -51,7 +48,7 @@ def test_ct_demo_hand_trace():
     assert rule == RULE_RESTORE
     assert s2 == StateCT(Lam(Var(0)), NIL, plist([NIL]), NIL)
     end = step(s2)
-    assert end == (RULE_FINAL, ClosureCT(Lam(Var(0)), NIL, plist([NIL])))
+    assert end == (RULE_FINAL, StateCT(Lam(Var(0)), NIL, plist([NIL]), NIL))
 
 
 def test_gs_demo_hand_trace():
@@ -68,7 +65,7 @@ def test_gs_demo_hand_trace():
 def test_it_application_hand_trace():
     ident = Lam(Var(0))
     s0 = initial_it(App(ident, ident))
-    arg_closure = ClosureIT(ident, 0, NIL, NIL, NIL, NIL)
+    arg_closure = StateIT(ident, 0, NIL, NIL, NIL, NIL, NIL)
     rule, s1 = step(s0)
     assert rule == RULE_APP
     assert s1 == StateIT(ident, 0, NIL, NIL, NIL, NIL, plist([arg_closure]))
@@ -82,17 +79,17 @@ def test_it_application_hand_trace():
 
 
 def test_ct_application_rule_shape():
-    env = plist([ClosureCT(Lam(Var(0)), NIL, NIL)])
+    env = plist([StateCT(Lam(Var(0)), NIL, NIL, NIL)])
     state = StateCT(App(Var(0), Var(0)), env, NIL, NIL)
     rule, out = step(state)
     assert rule == RULE_APP
     assert out.term == Var(0)
-    assert out.stack.head == ClosureCT(Var(0), env, NIL)
+    assert out.stack.head == StateCT(Var(0), env, NIL, NIL)
     assert out.stack.head.env is env  # captured by reference, not copied
 
 
 def test_gs_capture_rule_pushes_both_maps():
-    stack = plist([ClosureGS(Lam(Var(0)), NIL, NIL, NIL)])
+    stack = plist([StateGS(Lam(Var(0)), NIL, NIL, NIL, NIL)])
     state = StateGS(Catch(Var(0)), NIL, NIL, NIL, stack)
     _, out = step(state)
     assert out.lenv_mu.head is state.lenv
@@ -101,7 +98,7 @@ def test_gs_capture_rule_pushes_both_maps():
 
 
 def test_it_lam_rule_threads_depth():
-    c = ClosureIT(Lam(Var(0)), 0, NIL, NIL, NIL, NIL)
+    c = StateIT(Lam(Var(0)), 0, NIL, NIL, NIL, NIL, NIL)
     state = StateIT(Lam(Var(0)), 3, plist([3, 1]), NIL, plist([c]), NIL, plist([c]))
     _, out = step(state)
     assert out.depth == 4
@@ -112,7 +109,7 @@ def test_it_lam_rule_threads_depth():
 
 def test_final_only_on_lam_with_empty_stack():
     assert step(StateCT(Lam(Var(0)), NIL, NIL, NIL))[0] == RULE_FINAL
-    pushed = plist([ClosureCT(Lam(Var(0)), NIL, NIL)])
+    pushed = plist([StateCT(Lam(Var(0)), NIL, NIL, NIL)])
     assert step(StateCT(Lam(Var(0)), NIL, NIL, pushed))[0] == RULE_LAM
 
 
@@ -313,7 +310,7 @@ def test_rules_dispatch_on_the_exact_term_class():
         __slots__ = ()
 
     with pytest.raises(TypeError, match=r"^not a catch/throw term: .*MyVar\(index=0\)$"):
-        step(StateCT(MyVar(0), plist([ClosureCT(Lam(Var(0)), NIL, NIL)]), NIL, NIL))
+        step(StateCT(MyVar(0), plist([StateCT(Lam(Var(0)), NIL, NIL, NIL)]), NIL, NIL))
     with pytest.raises(TypeError, match=r"^not a getctx/setctx term: .*MyVar\(index=0\)$"):
         run(App(Lam(MyVar(0)), Lam(Var(0))), "it", max_steps=10)  # is_scoped_gs rejects the subclass
 
@@ -322,16 +319,16 @@ def test_step_rejects_a_state_of_no_machine():
     class MyStateCT(StateCT):
         __slots__ = ()
 
-    for state in (object(), ClosureCT(Lam(Var(0)), NIL, NIL), MyStateCT(Lam(Var(0)), NIL, NIL, NIL)):
+    for state in (object(), MyStateCT(Lam(Var(0)), NIL, NIL, NIL)):
         with pytest.raises(TypeError, match=r"^not a machine state: "):
             step(state)
 
 
 # A state of each machine whose variable #0 is bound, by its term.
 BOUND_VAR = {
-    "ct": lambda t: StateCT(t, plist([ClosureCT(Lam(Var(0)), NIL, NIL)]), NIL, NIL),
-    "gs": lambda t: StateGS(t, plist([ClosureGS(Lam(Var(0)), NIL, NIL, NIL)]), NIL, NIL, NIL),
-    "it": lambda t: StateIT(t, 1, plist([1]), NIL, plist([ClosureIT(Lam(Var(0)), 0, NIL, NIL, NIL, NIL)]), NIL, NIL),
+    "ct": lambda t: StateCT(t, plist([StateCT(Lam(Var(0)), NIL, NIL, NIL)]), NIL, NIL),
+    "gs": lambda t: StateGS(t, plist([StateGS(Lam(Var(0)), NIL, NIL, NIL, NIL)]), NIL, NIL, NIL),
+    "it": lambda t: StateIT(t, 1, plist([1]), NIL, plist([StateIT(Lam(Var(0)), 0, NIL, NIL, NIL, NIL, NIL)]), NIL, NIL),
 }
 
 
@@ -352,6 +349,24 @@ def test_the_rule_oracle_takes_the_classes_step_takes(machine):
         for function in (step, applicable_rules, describe_state):
             with pytest.raises(TypeError, match=r"^not a machine state: "):
                 function(value)
+
+
+# A state of each machine with label #0 in scope, by its term.
+ONE_LABEL = {
+    "ct": lambda t: StateCT(t, NIL, plist([NIL]), NIL),
+    "gs": lambda t: StateGS(t, NIL, plist([NIL]), plist([NIL]), NIL),
+    "it": lambda t: StateIT(t, 0, NIL, plist([NIL]), NIL, plist([NIL]), NIL),
+}
+
+
+@pytest.mark.parametrize("machine", sorted(BOUND_VAR))
+def test_the_rule_guards_take_only_indices_step_can_use(machine):
+    ident = Lam(Var(0))
+    for state, rule in ((BOUND_VAR[machine](Var(0)), RULE_VAR), (ONE_LABEL[machine](Throw(0, ident)), RULE_RESTORE)):
+        assert applicable_rules(state) == [rule] == [step(state)[0]]
+    for bad in (True, -1):  # step cannot index a list with either
+        assert applicable_rules(BOUND_VAR[machine](Var(bad))) == []
+        assert applicable_rules(ONE_LABEL[machine](Throw(bad, ident))) == []
 
 
 def _runs_to_compare(corpus_dir):
@@ -406,11 +421,8 @@ def test_run_agrees_with_its_step_function(corpus_dir):
 
 
 RECORD_FIELDS = [
-    (ClosureCT, ("term", "env", "mu_env")),
     (StateCT, ("term", "env", "mu_env", "stack")),
-    (ClosureGS, ("term", "lenv", "lenv_mu", "mu_env")),
     (StateGS, ("term", "lenv", "lenv_mu", "mu_env", "stack")),
-    (ClosureIT, ("term", "depth", "vec", "table", "env", "mu_env")),
     (StateIT, ("term", "depth", "vec", "table", "env", "mu_env", "stack")),
     (TraceEvent, ("step", "machine", "rule", "head", "stack_depth", "mu_count")),
     (NVar, ("name",)),

@@ -193,24 +193,30 @@ def test_non_term_under_binder_raises_type_error():
 
 
 def spec_safe_named(t):
-    """The recursive judgment over a visible tuple and a label dict, both copied per binder."""
-    return _spec_safe_named(t, (), {}, None)
+    """The recursive judgment: a variable names its lexical binder, which must be visible.
+
+    names holds the binders' names, innermost first, so a binder's depth is its
+    position counted from the root; v holds the depths of the binders the
+    current coroutine sees. Both are copied per binder, as is the label dict.
+    """
+    return _spec_safe_named(t, (), (), {}, None)
 
 
-def _spec_safe_named(t, v, v_mu, path):
+def _spec_safe_named(t, names, v, v_mu, path):
     match t:
         case NVar(name):
-            return name in v
+            return name in names and len(names) - names.index(name) in v
         case NApp(fn, arg):
-            return _spec_safe_named(fn, v, v_mu, (path, "fn")) and _spec_safe_named(arg, v, v_mu, (path, "arg"))
+            return (_spec_safe_named(fn, names, v, v_mu, (path, "fn"))
+                    and _spec_safe_named(arg, names, v, v_mu, (path, "arg")))
         case NLam(param, body):
-            return _spec_safe_named(body, (param,) + v, v_mu, (path, "body"))
+            return _spec_safe_named(body, (param,) + names, (len(names) + 1,) + v, v_mu, (path, "body"))
         case NCatch(label, body):
-            return _spec_safe_named(body, v, {**v_mu, label: v}, (path, "body"))
+            return _spec_safe_named(body, names, v, {**v_mu, label: v}, (path, "body"))
         case NThrow(label, body):
             if label not in v_mu:
                 raise OpenMuTermError(label, len(v_mu), flatten_path(path))
-            return _spec_safe_named(body, v_mu[label], v_mu, (path, "body"))
+            return _spec_safe_named(body, names, v_mu[label], v_mu, (path, "body"))
     raise TypeError(f"not a named catch/throw term: {t!r}")
 
 
@@ -261,7 +267,7 @@ def test_safe_named_matches_spec_on_shadowing_and_corpus(corpus_dir):
         sources.append(path.read_text(encoding="utf-8").replace("getctx", "catch").replace("setctx", "throw"))
     for src in sources:
         assert_safe_named_matches_spec(parse_ct(src))
-    assert safe_named(parse_ct(r"\x. catch a. \x. throw a x"))
+    assert not safe_named(parse_ct(r"\x. catch a. \x. throw a x"))  # x names the inner, invisible binder
 
 
 # ---------------------------------------------------------------------------
