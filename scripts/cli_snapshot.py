@@ -15,6 +15,8 @@ same corpus files, with the same environment. Per corpus file
   * compile, on a .gs file;
   * run --trace on each machine of the file's calculus (ct for .ct; gs and
     it for .gs), in text and json, at --max-steps 2000;
+  * run untraced on each of those machines at --max-steps 200000, so that
+    the untraced loop and the end state of a long run are compared too;
   * bisim in text and json at --max-steps 20000.
 
 Then `bisim --all corpus/gen` and a few `gen` commands. It prints how many
@@ -60,6 +62,7 @@ def commands() -> list[list[str]]:
         for machine in ("ct",) if ct else ("gs", "it"):
             for fmt in ("text", "json"):
                 out.append(["run", name, "--machine", machine, "--trace", "--format", fmt, "--max-steps", "2000"])
+            out.append(["run", name, "--machine", machine, "--max-steps", "200000"])
         for fmt in ("text", "json"):
             out.append(["bisim", name, "--format", fmt, "--max-steps", "20000"])
     out.append(["bisim", "--all", "corpus/gen"])

@@ -18,35 +18,39 @@ The calculi share one syntax, so the machine, not the term, says which
 indexing a term uses: CALCULUS maps each machine to the calculus it runs and
 prints. The CLI takes the calculus from the file extension.
 
+A state is a configuration, the tuple of its fields, as in Krivine's
+machine; every machine's last two fields are its label stack and its stack.
 Each machine is one entry of MACHINES: its state class, its initial-state
-builder and its rule table, a dict from term class to a rule
-(state, term) -> (rule, successor), with every rule written once. The rule
-is one of the RULE_* tags naming the rule applied, and the successor is the
-next state for a transition, the final state itself for RULE_FINAL, or the
-reason string for RULE_STUCK. step serves all three machines: the exact
-class of the state picks the rule table, and the exact class of its term,
-type(term), the rule, so a subclass of a state or term class has no rule
-and raises TypeError. run looks up the same table itself and so saves a
-call per step. applicable_rules is written from the rules' guards and never
-reads the tables: it is the independent oracle that the determinism checks
-hold the tables to.
+builder and its rule table, a dict from term class to a rule, with every
+rule written once. A rule takes a configuration splatted, rule(term,
+*fields), and returns (RULE_* tag, next configuration) for a transition,
+(RULE_FINAL, None) or (RULE_STUCK, reason); an index or label outside
+0 <= i < length gets stuck. run and step drive the same tables: run steps
+plain tuples, and step takes a record, whose exact class picks the table,
+and returns the next record (the state itself for RULE_FINAL). The exact
+class of the term, type(term), picks the rule, so a subclass of a state or
+term class has no rule and raises TypeError. applicable_rules is written
+from the rules' guards and never reads the tables: it is the independent
+oracle that the determinism checks hold the tables to.
 
 Rules are pure and never mutate. Environments, stacks, vectors and tables
 are persistent lists, so every capture is O(1) and shares structure.
 
-States and trace events are frozen slots dataclasses; their __init__ stores
-each field directly through its slot (see terms._direct_init), so a step
-costs no generic object.__setattr__ calls and records still reject
-assignment. run prints each subterm's trace head once per call, not once per
-step: the machines never build terms, so every head is a subterm of the
-input.
+State records are tuple subclasses read through namedtuple's C descriptors
+(see _tuple_record), built only where a state is kept: a closure an app rule
+pushes, step's result and the end state of a run. Trace events are frozen
+slots dataclasses built by direct slot stores (see terms._direct_init). run
+prints each subterm's trace head once per call, not once per step: the
+machines never build terms, so every head is a subterm of the input.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import MISSING, dataclass
 from typing import Callable, Union
 
 from .errors import OpenTermError, WorkbenchError
@@ -98,19 +102,59 @@ def resolve_max_steps(max_steps: int | None) -> int:
 # States
 # ---------------------------------------------------------------------------
 
+_new = tuple.__new__  # builds a record from its configuration, without a __new__ call
 
-@_direct_init
-@dataclass(frozen=True, slots=True)
-class StateCT:
+
+def _record_eq(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _record_ne(self, other) -> bool:
+    return type(other) is not type(self) or tuple.__ne__(self, other)
+
+
+def _record_getnewargs(self) -> tuple:
+    return tuple(self)
+
+
+def _tuple_record(cls):
+    """Make cls, a tuple subclass with __slots__ = () and annotated fields, a
+    frozen dataclass whose instances are the tuple of their fields.
+
+    Each field is read through the C descriptor collections.namedtuple makes,
+    and a generated __new__ takes the fields by position or keyword, so
+    dataclasses.replace/fields, FrozenInstanceError, __repr__ and
+    __match_args__ are a dataclass's. A record equals only a record of its
+    own class, hashes as its tuple, and copies and pickles through
+    __getnewargs__. Every field must be an init field without a default.
+    """
+    cls = dataclass(frozen=True, init=False, eq=False)(cls)
+    fields = dataclasses.fields(cls)
+    if any(not f.init or f.default is not MISSING or f.default_factory is not MISSING for f in fields):
+        raise TypeError(f"{cls.__name__}: _tuple_record needs init fields without defaults")
+    names = ", ".join(f.name for f in fields)
+    namespace = {"_new": _new}
+    exec(f"def __new__(cls, {names}):\n    return _new(cls, ({names},))", namespace)
+    cls.__new__ = staticmethod(namespace["__new__"])
+    getters = vars(namedtuple(cls.__name__, names))
+    for f in fields:
+        setattr(cls, f.name, getters[f.name])
+    cls.__eq__, cls.__ne__, cls.__getnewargs__ = _record_eq, _record_ne, _record_getnewargs
+    return cls
+
+
+@_tuple_record
+class StateCT(tuple):
+    __slots__ = ()
     term: TermCT
     env: PList  # of closures
     mu_env: PList  # of stacks (PList of closures)
     stack: PList  # of closures
 
 
-@_direct_init
-@dataclass(frozen=True, slots=True)
-class StateGS:
+@_tuple_record
+class StateGS(tuple):
+    __slots__ = ()
     term: TermGS
     lenv: PList  # of closures
     lenv_mu: PList  # of local environments
@@ -118,9 +162,9 @@ class StateGS:
     stack: PList
 
 
-@_direct_init
-@dataclass(frozen=True, slots=True)
-class StateIT:
+@_tuple_record
+class StateIT(tuple):
+    __slots__ = ()
     term: TermGS
     depth: int
     vec: PList  # of binder depths, strictly decreasing
@@ -132,104 +176,98 @@ class StateIT:
 
 State = Union[StateCT, StateGS, StateIT]
 
-Step = tuple[str, Union[State, str]]  # (rule, successor)
-Rule = Callable[[State, Term], Step]  # (state, state.term) -> (rule, successor)
+Step = tuple[str, Union[tuple, str, None]]  # (rule, next configuration, None or reason)
+Rule = Callable[..., Step]  # (term, *other fields) -> step
 
 # ---------------------------------------------------------------------------
 # Transition rules
 # ---------------------------------------------------------------------------
 
 
-def _ct_var(s: StateCT, t: Var) -> Step:
-    if t.index >= s.env.length:
+def _ct_var(t: Var, env: PList, mu_env: PList, stack: PList) -> Step:
+    if not 0 <= t.index < env.length:
         return RULE_STUCK, UNBOUND_VAR
-    entered: StateCT = s.env[t.index]
-    return RULE_VAR, StateCT(entered.term, entered.env, entered.mu_env, s.stack)
+    entered: StateCT = env[t.index]
+    return RULE_VAR, (entered.term, entered.env, entered.mu_env, stack)
 
 
-def _ct_app(s: StateCT, t: App) -> Step:
-    pushed = StateCT(t.arg, s.env, s.mu_env, NIL)
-    return RULE_APP, StateCT(t.fn, s.env, s.mu_env, s.stack.cons(pushed))
+def _ct_app(t: App, env: PList, mu_env: PList, stack: PList) -> Step:
+    return RULE_APP, (t.fn, env, mu_env, stack.cons(_new(StateCT, (t.arg, env, mu_env, NIL))))
 
 
-def _ct_lam(s: StateCT, t: Lam) -> Step:
-    if s.stack is NIL:
-        return RULE_FINAL, s
-    return RULE_LAM, StateCT(t.body, s.env.cons(s.stack.head), s.mu_env, s.stack.tail)
+def _ct_lam(t: Lam, env: PList, mu_env: PList, stack: PList) -> Step:
+    if stack is NIL:
+        return RULE_FINAL, None
+    return RULE_LAM, (t.body, env.cons(stack.head), mu_env, stack.tail)
 
 
-def _ct_catch(s: StateCT, t: Catch) -> Step:
-    return RULE_CAPTURE, StateCT(t.body, s.env, s.mu_env.cons(s.stack), s.stack)
+def _ct_catch(t: Catch, env: PList, mu_env: PList, stack: PList) -> Step:
+    return RULE_CAPTURE, (t.body, env, mu_env.cons(stack), stack)
 
 
-def _ct_throw(s: StateCT, t: Throw) -> Step:
-    if t.label >= s.mu_env.length:
+def _ct_throw(t: Throw, env: PList, mu_env: PList, stack: PList) -> Step:
+    if not 0 <= t.label < mu_env.length:
         return RULE_STUCK, UNBOUND_MU
-    return RULE_RESTORE, StateCT(t.body, s.env, s.mu_env, s.mu_env[t.label])
+    return RULE_RESTORE, (t.body, env, mu_env, mu_env[t.label])
 
 
-def _gs_var(s: StateGS, t: Var) -> Step:
-    if t.index >= s.lenv.length:
+def _gs_var(t: Var, lenv: PList, lenv_mu: PList, mu_env: PList, stack: PList) -> Step:
+    if not 0 <= t.index < lenv.length:
         return RULE_STUCK, UNBOUND_VAR
-    entered: StateGS = s.lenv[t.index]
-    return RULE_VAR, StateGS(entered.term, entered.lenv, entered.lenv_mu, entered.mu_env, s.stack)
+    entered: StateGS = lenv[t.index]
+    return RULE_VAR, (entered.term, entered.lenv, entered.lenv_mu, entered.mu_env, stack)
 
 
-def _gs_app(s: StateGS, t: App) -> Step:
-    pushed = StateGS(t.arg, s.lenv, s.lenv_mu, s.mu_env, NIL)
-    return RULE_APP, StateGS(t.fn, s.lenv, s.lenv_mu, s.mu_env, s.stack.cons(pushed))
+def _gs_app(t: App, lenv: PList, lenv_mu: PList, mu_env: PList, stack: PList) -> Step:
+    return RULE_APP, (t.fn, lenv, lenv_mu, mu_env, stack.cons(_new(StateGS, (t.arg, lenv, lenv_mu, mu_env, NIL))))
 
 
-def _gs_lam(s: StateGS, t: Lam) -> Step:
-    if s.stack is NIL:
-        return RULE_FINAL, s
-    return RULE_LAM, StateGS(t.body, s.lenv.cons(s.stack.head), s.lenv_mu, s.mu_env, s.stack.tail)
+def _gs_lam(t: Lam, lenv: PList, lenv_mu: PList, mu_env: PList, stack: PList) -> Step:
+    if stack is NIL:
+        return RULE_FINAL, None
+    return RULE_LAM, (t.body, lenv.cons(stack.head), lenv_mu, mu_env, stack.tail)
 
 
-def _gs_get(s: StateGS, t: Catch) -> Step:
-    return RULE_CAPTURE, StateGS(t.body, s.lenv, s.lenv_mu.cons(s.lenv), s.mu_env.cons(s.stack), s.stack)
+def _gs_get(t: Catch, lenv: PList, lenv_mu: PList, mu_env: PList, stack: PList) -> Step:
+    return RULE_CAPTURE, (t.body, lenv, lenv_mu.cons(lenv), mu_env.cons(stack), stack)
 
 
-def _gs_set(s: StateGS, t: Throw) -> Step:
-    if s.lenv_mu.length != s.mu_env.length or t.label >= s.lenv_mu.length:
+def _gs_set(t: Throw, lenv: PList, lenv_mu: PList, mu_env: PList, stack: PList) -> Step:
+    if lenv_mu.length != mu_env.length or not 0 <= t.label < lenv_mu.length:
         return RULE_STUCK, UNBOUND_MU
-    return RULE_RESTORE, StateGS(t.body, s.lenv_mu[t.label], s.lenv_mu, s.mu_env, s.mu_env[t.label])
+    return RULE_RESTORE, (t.body, lenv_mu[t.label], lenv_mu, mu_env, mu_env[t.label])
 
 
-def _it_var(s: StateIT, t: Var) -> Step:
-    if t.index >= s.vec.length:
+def _it_var(t: Var, depth: int, vec: PList, table: PList, env: PList, mu_env: PList, stack: PList) -> Step:
+    if not 0 <= t.index < vec.length:
         return RULE_STUCK, UNBOUND_VAR
-    resolved = s.depth - s.vec[t.index]
-    if resolved < 0 or resolved >= s.env.length:
+    resolved = depth - vec[t.index]
+    if not 0 <= resolved < env.length:
         return RULE_STUCK, UNBOUND_VAR
-    entered: StateIT = s.env[resolved]
-    return RULE_VAR, StateIT(
-        entered.term, entered.depth, entered.vec, entered.table, entered.env, entered.mu_env, s.stack
-    )
+    entered: StateIT = env[resolved]
+    return RULE_VAR, (entered.term, entered.depth, entered.vec, entered.table, entered.env, entered.mu_env, stack)
 
 
-def _it_app(s: StateIT, t: App) -> Step:
-    pushed = StateIT(t.arg, s.depth, s.vec, s.table, s.env, s.mu_env, NIL)
-    return RULE_APP, StateIT(t.fn, s.depth, s.vec, s.table, s.env, s.mu_env, s.stack.cons(pushed))
+def _it_app(t: App, depth: int, vec: PList, table: PList, env: PList, mu_env: PList, stack: PList) -> Step:
+    pushed = _new(StateIT, (t.arg, depth, vec, table, env, mu_env, NIL))
+    return RULE_APP, (t.fn, depth, vec, table, env, mu_env, stack.cons(pushed))
 
 
-def _it_lam(s: StateIT, t: Lam) -> Step:
-    if s.stack is NIL:
-        return RULE_FINAL, s
-    deeper = s.depth + 1
-    return RULE_LAM, StateIT(
-        t.body, deeper, s.vec.cons(deeper), s.table, s.env.cons(s.stack.head), s.mu_env, s.stack.tail
-    )
+def _it_lam(t: Lam, depth: int, vec: PList, table: PList, env: PList, mu_env: PList, stack: PList) -> Step:
+    if stack is NIL:
+        return RULE_FINAL, None
+    deeper = depth + 1
+    return RULE_LAM, (t.body, deeper, vec.cons(deeper), table, env.cons(stack.head), mu_env, stack.tail)
 
 
-def _it_get(s: StateIT, t: Catch) -> Step:
-    return RULE_CAPTURE, StateIT(t.body, s.depth, s.vec, s.table.cons(s.vec), s.env, s.mu_env.cons(s.stack), s.stack)
+def _it_get(t: Catch, depth: int, vec: PList, table: PList, env: PList, mu_env: PList, stack: PList) -> Step:
+    return RULE_CAPTURE, (t.body, depth, vec, table.cons(vec), env, mu_env.cons(stack), stack)
 
 
-def _it_set(s: StateIT, t: Throw) -> Step:
-    if s.table.length != s.mu_env.length or t.label >= s.table.length:
+def _it_set(t: Throw, depth: int, vec: PList, table: PList, env: PList, mu_env: PList, stack: PList) -> Step:
+    if table.length != mu_env.length or not 0 <= t.label < table.length:
         return RULE_STUCK, UNBOUND_MU
-    return RULE_RESTORE, StateIT(t.body, s.depth, s.table[t.label], s.table, s.env, s.mu_env, s.mu_env[t.label])
+    return RULE_RESTORE, (t.body, depth, table[t.label], table, env, mu_env, mu_env[t.label])
 
 # ---------------------------------------------------------------------------
 # Initial states
@@ -289,7 +327,10 @@ def step(s: State) -> Step:
         rule = rules[type(t)]
     except KeyError:
         raise _not_a_term(machine, t) from None
-    return rule(s, t)
+    name, successor = rule(*s)
+    if name == RULE_STUCK:
+        return name, successor
+    return name, s if name == RULE_FINAL else _new(type(s), successor)
 
 # ---------------------------------------------------------------------------
 # Guard-based rule oracle (for the determinism checks)
@@ -389,13 +430,14 @@ def run(term: Term, machine: str, max_steps: int | None = None, collect_trace: b
     steps counts applied transitions; a term that is already a value finishes
     in 0 steps. The trace, when collected, has one event per transition plus a
     terminal final/stuck event (fuel exhaustion ends the trace without one).
-    Each step looks its rule up in the machine's table, as step does,
-    without calling step.
+    Each step looks its rule up in the machine's table, as step does, but
+    without calling step: it steps plain configurations and builds a record
+    only for the state it returns.
     """
     if machine not in MACHINES:
         raise ValueError(f"unknown machine {machine!r} (expected 'ct', 'gs' or 'it')")
-    _, initial, rules = MACHINES[machine]
-    state = initial(term)
+    cls, initial, rules = MACHINES[machine]
+    config = initial(term)
     calculus = CALCULUS[machine]
     fuel = resolve_max_steps(max_steps)
     events: list[TraceEvent] | None = [] if collect_trace else None
@@ -404,25 +446,27 @@ def run(term: Term, machine: str, max_steps: int | None = None, collect_trace: b
     heads: dict[int, str] = {}
     steps = 0
     while True:
-        t = state.term
+        t = config[0]
         try:
             apply = rules[type(t)]
         except KeyError:
             raise _not_a_term(machine, t) from None
-        rule, successor = apply(state, t)
+        rule, successor = apply(*config)
         halted = rule == RULE_FINAL or rule == RULE_STUCK
         if events is not None and (halted or steps < fuel):
             head = heads.get(id(t))
             if head is None:
                 head = heads[id(t)] = print_term(t, calculus)
-            events.append(TraceEvent(steps, machine, rule, head, state.stack.length, state.mu_env.length))
+            # the last two fields of every machine: its label stack and its stack
+            events.append(TraceEvent(steps, machine, rule, head, config[-1].length, config[-2].length))
         if halted or steps >= fuel:
             break
-        state = successor
+        config = successor
         steps += 1
     trace = None if events is None else tuple(events)
+    state = _new(cls, config)
     if rule == RULE_FINAL:
-        return RunResult("final", steps, closure=successor, events=trace)
+        return RunResult("final", steps, closure=state, events=trace)
     if rule == RULE_STUCK:
         return RunResult("stuck", steps, reason=successor, last_state=state, events=trace)
     return RunResult("fuel_exhausted", steps, last_state=state, events=trace)

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -18,6 +20,8 @@ from coroutine_vm.machines import (
     RULE_RESTORE,
     RULE_STUCK,
     RULE_VAR,
+    UNBOUND_MU,
+    UNBOUND_VAR,
     StateCT,
     StateGS,
     StateIT,
@@ -369,6 +373,15 @@ def test_the_rule_guards_take_only_indices_step_can_use(machine):
         assert applicable_rules(ONE_LABEL[machine](Throw(bad, ident))) == []
 
 
+@pytest.mark.parametrize("machine", sorted(BOUND_VAR))
+def test_an_index_or_label_out_of_range_gets_stuck(machine):
+    # below the range as above it: the rule gets stuck before it indexes a list
+    ident = Lam(Var(0))
+    for bad in (-1, 5):
+        assert step(BOUND_VAR[machine](Var(bad))) == (RULE_STUCK, UNBOUND_VAR)
+        assert step(ONE_LABEL[machine](Throw(bad, ident))) == (RULE_STUCK, UNBOUND_MU)
+
+
 def _runs_to_compare(corpus_dir):
     """(name, machine, index term): every corpus term on each machine that runs its calculus, then
     seeded random terms on all three (ct on their translation)."""
@@ -389,13 +402,13 @@ def _runs_to_compare(corpus_dir):
     return out
 
 
-def test_run_agrees_with_its_step_function(corpus_dir):
+def test_run_agrees_with_its_step_function(corpus_dir, monkeypatch):
     # run drives the rule tables itself; replay each run with step by hand
     fuel = 300
     runs = _runs_to_compare(corpus_dir)
     assert len(runs) >= 340
     for name, machine, term in runs:
-        _, initial, _ = MACHINES[machine]
+        cls, initial, _ = MACHINES[machine]
         states, rules = [initial(term)], []
         while True:
             rule, successor = step(states[-1])
@@ -411,13 +424,24 @@ def test_run_agrees_with_its_step_function(corpus_dir):
             (print_term(s.term, CALCULUS[machine]), s.stack.length, s.mu_env.length) for s in traced
         ], (name, machine)
         assert result.steps == len(states) - 1, (name, machine)
+        # run keeps records, of the machine's exact class, never a bare configuration
         if rule == RULE_FINAL:
             assert (result.kind, result.closure) == ("final", successor), (name, machine)
+            assert type(result.closure) is cls, (name, machine)
         else:
             assert (result.kind, result.last_state) == ("fuel_exhausted", states[-1]), (name, machine)
+            assert type(result.last_state) is cls, (name, machine)
         # every state on the way: a run with fuel n stops in state n
         for n, state in enumerate(states[:-1]):
-            assert run(term, machine, max_steps=n).last_state == state, (name, machine, n)
+            last = run(term, machine, max_steps=n).last_state
+            assert last == state and type(last) is cls, (name, machine, n)
+    # no closed term gets stuck, so a restore rule that always sticks stands in for one
+    for machine, (cls, initial, table) in MACHINES.items():
+        monkeypatch.setitem(table, Throw, lambda *config: (RULE_STUCK, UNBOUND_MU))
+        result = run(GS_DEMO, machine, max_steps=fuel)
+        _, stuck_at = step(initial(GS_DEMO))
+        assert (result.kind, result.reason, result.steps, result.last_state) == ("stuck", UNBOUND_MU, 1, stuck_at)
+        assert type(result.last_state) is cls, machine
 
 
 RECORD_FIELDS = [
@@ -445,6 +469,9 @@ def test_machine_records_stay_immutable(cls, fields):
     record = cls(**values)
     assert record == cls(*values.values())
     assert hash(record) == hash(cls(*values.values()))
+    assert record != tuple(values.values())
+    assert copy.copy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
     assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v}' for n, v in values.items())})"
     for name in fields:
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -464,6 +491,15 @@ def test_direct_init_rejects_fields_with_defaults():
     with_default = dataclasses.make_dataclass("WithDefault", [("x", int, 0)], frozen=True, slots=True)
     with pytest.raises(TypeError):
         terms._direct_init(with_default)
+
+
+def test_tuple_record_rejects_fields_with_defaults():
+    class WithDefault(tuple):
+        __slots__ = ()
+        x: int = 0
+
+    with pytest.raises(TypeError):
+        machines._tuple_record(WithDefault)
 
 
 def test_trace_heads_printed_once_per_subterm(monkeypatch):

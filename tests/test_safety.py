@@ -73,14 +73,15 @@ def test_three_judgments_agree_on_closed_terms():
     safe_count = unsafe_count = 0
     for _ in range(400):
         term = gen_named_ct(rng, rng.randint(1, 30), unsafe_ok=True)
-        a = is_safe(term)
-        b = safe_named(term)
-        c = safe_db(to_debruijn_ct(term))
-        assert a == b == c
-        if a:
-            safe_count += 1
-        else:
-            unsafe_count += 1
+        for each in (term, shadowed(term, rng)):  # binders that shadow each other too
+            a = is_safe(each)
+            b = safe_named(each)
+            c = safe_db(to_debruijn_ct(each))
+            assert a == b == c
+            if a:
+                safe_count += 1
+            else:
+                unsafe_count += 1
     assert safe_count and unsafe_count
 
 
