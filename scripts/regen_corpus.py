@@ -54,7 +54,7 @@ def trace_lines(source: Path, machine: str, fuel: int, compiled: bool) -> str:
         if compiled:
             term = down(term)
     result = run(term, machine, max_steps=fuel, collect_trace=True)
-    return "".join(event.to_json() + "\n" for event in result.events)
+    return "".join(event.to_json(step, machine) + "\n" for step, event in enumerate(result.events))
 
 
 def main():

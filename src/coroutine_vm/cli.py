@@ -58,13 +58,13 @@ def _load(path: Path, calculus: str):
     return parse(text, calculus)
 
 
-def _print_events(events, fmt: str):
-    for event in events or ():
+def _print_events(events, machine: str, fmt: str):
+    for step, event in enumerate(events or ()):
         if fmt == "json":
-            print(event.to_json())
+            print(event.to_json(step, machine))
         else:
             print(
-                f"step {event.step:>4}  {event.machine}  {event.rule:<13} "
+                f"step {step:>4}  {machine}  {event.rule:<13} "
                 f"stack={event.stack_depth} labels={event.mu_count}  {event.head}"
             )
 
@@ -136,7 +136,7 @@ def cmd_run(args) -> int:
     term = to_debruijn_ct(named) if calculus == "ct" else to_debruijn_gs(named)
     result: RunResult = run(term, machine, max_steps=args.max_steps, collect_trace=args.trace)
     if args.trace:
-        _print_events(result.events, args.format)
+        _print_events(result.events, machine, args.format)
     if result.kind == "final":
         print(f"final after {result.steps} steps: {print_term(result.closure.term, CALCULUS[machine])}")
         return EXIT_OK

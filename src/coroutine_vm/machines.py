@@ -38,10 +38,10 @@ are persistent lists, so every capture is O(1) and shares structure.
 
 State records are tuple subclasses read through namedtuple's C descriptors
 (see _tuple_record), built only where a state is kept: a closure an app rule
-pushes, step's result and the end state of a run. Trace events are frozen
-slots dataclasses built by direct slot stores (see terms._direct_init). run
-prints each subterm's trace head once per call, not once per step: the
-machines never build terms, so every head is a subterm of the input.
+pushes, step's result and the end state of a run. A trace event is a tuple
+record of what its step adds; its step is its index and its machine is the
+run's. run prints each subterm's trace head once per call, not once per
+step: the machines never build terms, so every head is a subterm of the input.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from .terms import (
     TermGS,
     Throw,
     Var,
-    _direct_init,
     is_closed_ct,
     is_scoped_gs,
     print_term,
@@ -94,6 +93,8 @@ def resolve_max_steps(max_steps: int | None) -> int:
             max_steps = int(raw) if raw else DEFAULT_MAX_STEPS
         except ValueError:
             raise WorkbenchError(f"{MAX_STEPS_ENV_VAR} must be an integer, got {raw!r}") from None
+    if type(max_steps) is not int:
+        raise WorkbenchError(f"max steps must be an integer, got {max_steps!r}")
     if max_steps < 0:
         raise WorkbenchError(f"max steps must not be negative, got {max_steps}")
     return max_steps
@@ -395,22 +396,20 @@ def applicable_rules(s: State) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@_direct_init
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One machine transition (or the terminal configuration), serializable."""
+@_tuple_record
+class TraceEvent(tuple):
+    """One machine transition (or the terminal configuration); event i of a run's trace is step i."""
 
-    step: int
-    machine: str
+    __slots__ = ()
     rule: str
     head: str
     stack_depth: int
     mu_count: int
 
-    def to_json(self) -> str:
-        """The golden-trace line of this event: compact JSON with sorted keys."""
-        fields = {"head": self.head, "machine": self.machine, "mu_count": self.mu_count,
-                  "rule": self.rule, "stack_depth": self.stack_depth, "step": self.step}
+    def to_json(self, step: int, machine: str) -> str:
+        """The golden-trace line of this event as step `step` of `machine`: compact JSON, sorted keys."""
+        fields = {"head": self.head, "machine": machine, "mu_count": self.mu_count,
+                  "rule": self.rule, "stack_depth": self.stack_depth, "step": step}
         return json.dumps(fields, sort_keys=True, separators=(",", ":"))
 
 
@@ -458,7 +457,7 @@ def run(term: Term, machine: str, max_steps: int | None = None, collect_trace: b
             if head is None:
                 head = heads[id(t)] = print_term(t, calculus)
             # the last two fields of every machine: its label stack and its stack
-            events.append(TraceEvent(steps, machine, rule, head, config[-1].length, config[-2].length))
+            events.append(_new(TraceEvent, (rule, head, config[-1].length, config[-2].length)))
         if halted or steps >= fuel:
             break
         config = successor

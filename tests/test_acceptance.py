@@ -182,8 +182,8 @@ def test_criterion_8_golden_traces(corpus_dir):
             regenerated = "".join(
                 json.dumps(
                     {
-                        "step": e.step,
-                        "machine": e.machine,
+                        "step": step,
+                        "machine": entry["machine"],
                         "rule": e.rule,
                         "head": e.head,
                         "stack_depth": e.stack_depth,
@@ -193,7 +193,7 @@ def test_criterion_8_golden_traces(corpus_dir):
                     separators=(",", ":"),
                 )
                 + "\n"
-                for e in result.events
+                for step, e in enumerate(result.events)
             )
             golden = (corpus_dir / "golden" / entry["golden"]).read_text(encoding="utf-8")
             assert regenerated == golden, entry["golden"]
