@@ -36,22 +36,21 @@ oracle that the determinism checks hold the tables to.
 Rules are pure and never mutate. Environments, stacks, vectors and tables
 are persistent lists, so every capture is O(1) and shares structure.
 
-State records are tuple subclasses read through namedtuple's C descriptors
-(see _tuple_record), built only where a state is kept: a closure an app rule
-pushes, step's result and the end state of a run. A trace event is a tuple
-record of what its step adds; its step is its index and its machine is the
-run's. run prints each subterm's trace head once per call, not once per
-step: the machines never build terms, so every head is a subterm of the input.
+State records are namedtuples that equal only a record of their own class
+(see _record), built only where a state is kept: a closure an app rule
+pushes, step's result and the end state of a run. A trace event is a record
+of what its step adds; its step is its index and its machine is the run's.
+run prints each subterm's trace head once per call, not once per step: the
+machines never build terms, so every head is a subterm of the input.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from collections import namedtuple
-from dataclasses import MISSING, dataclass
-from typing import Callable, Union
+from dataclasses import dataclass
+from typing import Callable
 
 from .errors import OpenTermError, WorkbenchError
 from .plist import NIL, PList
@@ -107,77 +106,46 @@ _new = tuple.__new__  # builds a record from its configuration, without a __new_
 
 
 def _record_eq(self, other) -> bool:
-    return type(other) is type(self) and tuple.__eq__(self, other)
+    """tuple.__eq__'s answer, on a work list: a record equals only a record of
+    its own class, field by field, and a PList a PList of its length, head and
+    tail; any other pair compares by ==. A pair met twice is compared once, so
+    shared structure costs one walk."""
+    todo, seen = [(self, other)], set()
+    while todo:
+        x, y = todo.pop()
+        cls = type(x)
+        if x is y or (id(x), id(y)) in seen:
+            continue
+        if cls is type(y) and (cls is PList or cls.__eq__ is _record_eq):
+            if cls is PList and x.length != y.length:
+                return False
+            seen.add((id(x), id(y)))
+            todo += ((x.tail, y.tail), (x.head, y.head)) if cls is PList else zip(x, y)
+        elif cls.__eq__ is _record_eq or not x == y:
+            return False
+    return True
 
 
-def _record_ne(self, other) -> bool:
-    return type(other) is not type(self) or tuple.__ne__(self, other)
+def _record(name: str, fields: str) -> type:
+    """A namedtuple class whose instances equal only instances of it (see _record_eq).
 
-
-def _record_getnewargs(self) -> tuple:
-    return tuple(self)
-
-
-def _tuple_record(cls):
-    """Make cls, a tuple subclass with __slots__ = () and annotated fields, a
-    frozen dataclass whose instances are the tuple of their fields.
-
-    Each field is read through the C descriptor collections.namedtuple makes,
-    and a generated __new__ takes the fields by position or keyword, so
-    dataclasses.replace/fields, FrozenInstanceError, __repr__ and
-    __match_args__ are a dataclass's. A record equals only a record of its
-    own class, hashes as its tuple, and copies and pickles through
-    __getnewargs__. Every field must be an init field without a default.
-    """
-    cls = dataclass(frozen=True, init=False, eq=False)(cls)
-    fields = dataclasses.fields(cls)
-    if any(not f.init or f.default is not MISSING or f.default_factory is not MISSING for f in fields):
-        raise TypeError(f"{cls.__name__}: _tuple_record needs init fields without defaults")
-    names = ", ".join(f.name for f in fields)
-    namespace = {"_new": _new}
-    exec(f"def __new__(cls, {names}):\n    return _new(cls, ({names},))", namespace)
-    cls.__new__ = staticmethod(namespace["__new__"])
-    getters = vars(namedtuple(cls.__name__, names))
-    for f in fields:
-        setattr(cls, f.name, getters[f.name])
-    cls.__eq__, cls.__ne__, cls.__getnewargs__ = _record_eq, _record_ne, _record_getnewargs
+    __eq__ and __ne__ are set once the class is made, so the tuple hash stays."""
+    cls = namedtuple(name, fields, module=__name__)
+    cls.__eq__, cls.__ne__ = _record_eq, lambda self, other: not _record_eq(self, other)
     return cls
 
 
-@_tuple_record
-class StateCT(tuple):
-    __slots__ = ()
-    term: TermCT
-    env: PList  # of closures
-    mu_env: PList  # of stacks (PList of closures)
-    stack: PList  # of closures
+# Every field but term and StateIT.depth is a PList. env (global) and lenv
+# (local) hold closures, states with stack=NIL; mu_env holds stacks; lenv_mu
+# (local environments) and table (vectors) hold one entry per label of mu_env;
+# vec holds binder depths, strictly decreasing.
+StateCT = _record("StateCT", "term env mu_env stack")
+StateGS = _record("StateGS", "term lenv lenv_mu mu_env stack")
+StateIT = _record("StateIT", "term depth vec table env mu_env stack")
 
+State = StateCT | StateGS | StateIT
 
-@_tuple_record
-class StateGS(tuple):
-    __slots__ = ()
-    term: TermGS
-    lenv: PList  # of closures
-    lenv_mu: PList  # of local environments
-    mu_env: PList  # of stacks; same length as lenv_mu (same labels)
-    stack: PList
-
-
-@_tuple_record
-class StateIT(tuple):
-    __slots__ = ()
-    term: TermGS
-    depth: int
-    vec: PList  # of binder depths, strictly decreasing
-    table: PList  # of vectors; same length as mu_env
-    env: PList  # of closures, global
-    mu_env: PList  # of stacks
-    stack: PList
-
-
-State = Union[StateCT, StateGS, StateIT]
-
-Step = tuple[str, Union[tuple, str, None]]  # (rule, next configuration, None or reason)
+Step = tuple[str, tuple | str | None]  # (rule, next configuration, None or reason)
 Rule = Callable[..., Step]  # (term, *other fields) -> step
 
 # ---------------------------------------------------------------------------
@@ -396,21 +364,19 @@ def applicable_rules(s: State) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@_tuple_record
-class TraceEvent(tuple):
-    """One machine transition (or the terminal configuration); event i of a run's trace is step i."""
+# One machine transition (or the terminal configuration); event i of a run's trace is step i.
+TraceEvent = _record("TraceEvent", "rule head stack_depth mu_count")
 
-    __slots__ = ()
-    rule: str
-    head: str
-    stack_depth: int
-    mu_count: int
 
-    def to_json(self, step: int, machine: str) -> str:
-        """The golden-trace line of this event as step `step` of `machine`: compact JSON, sorted keys."""
-        fields = {"head": self.head, "machine": machine, "mu_count": self.mu_count,
-                  "rule": self.rule, "stack_depth": self.stack_depth, "step": step}
-        return json.dumps(fields, sort_keys=True, separators=(",", ":"))
+def _event_json(self, step: int, machine: str) -> str:
+    """The golden-trace line of this event as step `step` of `machine`: compact JSON, sorted keys.
+
+    The rule is a RULE_* name, which needs no escape."""
+    return '{"head":%s,"machine":%s,"mu_count":%d,"rule":"%s","stack_depth":%d,"step":%d}' % (
+        json.dumps(self.head), json.dumps(machine), self.mu_count, self.rule, self.stack_depth, step)
+
+
+TraceEvent.to_json = _event_json
 
 
 @dataclass(frozen=True)

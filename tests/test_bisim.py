@@ -1,7 +1,6 @@
 import random
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -89,8 +88,8 @@ def test_star_maps_stacks_elementwise():
     ct_states = _trace(initial_ct(down(App(IDENT, IDENT))))
     k = next(k for k, s in enumerate(it_states) if len(s.stack) > 0)
     assert R_star(it_states[k], ct_states[k])
-    assert not R_star(it_states[k], replace(ct_states[k], stack=ct_states[k].stack.tail))
-    assert not R_star(it_states[k], replace(ct_states[k], stack=plist([StateCT(Var(0), NIL, NIL, NIL)])))
+    assert not R_star(it_states[k], ct_states[k]._replace(stack=ct_states[k].stack.tail))
+    assert not R_star(it_states[k], ct_states[k]._replace(stack=plist([StateCT(Var(0), NIL, NIL, NIL)])))
 
 
 def test_star_rejects_unsafe_embedded_closure():
@@ -129,7 +128,7 @@ def test_star_rejects_a_non_int_index_or_label():
 def test_relations_check_the_class_of_the_it_side():
     # an it closure's environment entry must be an it closure: not another machine's, not a state with a stack
     wrong = (StateCT(IDENT, NIL, NIL, NIL), StateGS(IDENT, NIL, NIL, NIL, NIL),
-             replace(_it(IDENT), stack=plist([_it(IDENT)])))
+             _it(IDENT)._replace(stack=plist([_it(IDENT)])))
     for inner, related in ((_it(IDENT), True),) + tuple((entry, False) for entry in wrong):
         it = _it(Var(0), 1, plist([1]), env=plist([inner]))
         assert R_star(it, StateCT(Var(0), plist([StateCT(IDENT, NIL, NIL, NIL)]), NIL, NIL)) is related
@@ -157,7 +156,7 @@ def test_flatten_singleton():
     c = _it(Var(0), 1, plist([1]), env=plist([_it(IDENT)]))
     assert R_diamond(c, StateGS(Var(0), plist([StateGS(IDENT, NIL, NIL, NIL, NIL)]), NIL, NIL, NIL))
     assert not R_diamond(c, StateGS(Var(0), NIL, NIL, NIL, NIL))
-    assert not R_diamond(replace(c, vec=plist([3])), StateGS(Var(0), plist([StateGS(IDENT, NIL, NIL, NIL, NIL)]), NIL, NIL, NIL))
+    assert not R_diamond(c._replace(vec=plist([3])), StateGS(Var(0), plist([StateGS(IDENT, NIL, NIL, NIL, NIL)]), NIL, NIL, NIL))
 
 
 def test_flatten_preserves_order():
@@ -170,7 +169,7 @@ def test_flatten_preserves_order():
     assert R_diamond(c, StateGS(Var(0), plist([g2, g1]), NIL, NIL, NIL))
     assert not R_diamond(c, StateGS(Var(0), plist([g1, g2]), NIL, NIL, NIL))
     # each table vector selects a label's local environment the same way
-    tabled = replace(c, table=plist([plist([1]), NIL]), mu_env=plist([NIL, NIL]))
+    tabled = c._replace(table=plist([plist([1]), NIL]), mu_env=plist([NIL, NIL]))
     assert R_diamond(tabled, StateGS(Var(0), plist([g2, g1]), plist([plist([g1]), NIL]), plist([NIL, NIL]), NIL))
     assert not R_diamond(tabled, StateGS(Var(0), plist([g2, g1]), plist([plist([g2]), NIL]), plist([NIL, NIL]), NIL))
 
@@ -198,7 +197,7 @@ def test_diamond_after_lam_bind():
     gs_bound = StateGS(bound.term, plist([StateGS(IDENT, NIL, NIL, NIL, NIL)]), NIL, NIL, NIL)
     assert gs_bound == _trace(initial_gs(App(IDENT, IDENT)))[2]
     assert R_diamond(bound, gs_bound)
-    assert not R_diamond(bound, replace(gs_bound, lenv=NIL))
+    assert not R_diamond(bound, gs_bound._replace(lenv=NIL))
 
 
 def test_diamond_carries_term_unchanged():
@@ -223,8 +222,8 @@ def test_diamond_rejects_an_extra_label_environment():
         it_s, gs_s = it_states[k], gs_states[k]
         assert len(it_s.table) == len(gs_s.lenv_mu) == len(gs_s.mu_env) == k
         assert R_diamond(it_s, gs_s)
-        assert not R_diamond(it_s, replace(gs_s, lenv_mu=gs_s.lenv_mu.cons(NIL)))
-        assert not R_diamond(it_s, replace(gs_s, lenv_mu=gs_s.lenv_mu.cons(gs_s.lenv)))
+        assert not R_diamond(it_s, gs_s._replace(lenv_mu=gs_s.lenv_mu.cons(NIL)))
+        assert not R_diamond(it_s, gs_s._replace(lenv_mu=gs_s.lenv_mu.cons(gs_s.lenv)))
 
 
 def test_state_maps_are_functional():
@@ -250,8 +249,8 @@ def test_a_vector_with_an_increasing_step_is_not_related():
     g1, g2 = StateGS(c1.term, NIL, NIL, NIL, NIL), StateGS(c2.term, NIL, NIL, NIL, NIL)
     c = _it(Var(0), 2, plist([1, 2]), env=plist([c2, c1]))
     assert not R_diamond(c, StateGS(Var(0), plist([g1, g2]), NIL, NIL, NIL))
-    assert R_diamond(replace(c, vec=plist([2, 2])), StateGS(Var(0), plist([g2, g2]), NIL, NIL, NIL))
-    assert not R_diamond(replace(c, vec=plist([2, 2])), StateGS(Var(0), plist([g2, g1]), NIL, NIL, NIL))
+    assert R_diamond(c._replace(vec=plist([2, 2])), StateGS(Var(0), plist([g2, g2]), NIL, NIL, NIL))
+    assert not R_diamond(c._replace(vec=plist([2, 2])), StateGS(Var(0), plist([g2, g1]), NIL, NIL, NIL))
 
 
 def test_a_binder_step_reproves_only_its_new_pairs():
@@ -286,7 +285,7 @@ def test_relation_ignores_sharing_differences():
     rebuilt = [StateGS(Lam(Var(0)), NIL, NIL, NIL, NIL) for _ in range(2)]
     assert R_diamond(c, StateGS(Var(0), plist(rebuilt), NIL, NIL, NIL))
     ct_env = plist([StateCT(Lam(Var(0)), NIL, NIL, NIL), StateCT(IDENT, NIL, NIL, NIL)])
-    assert R_star(replace(c, term=Lam(Var(1))), StateCT(Lam(Var(1)), ct_env, NIL, NIL))
+    assert R_star(c._replace(term=Lam(Var(1))), StateCT(Lam(Var(1)), ct_env, NIL, NIL))
 
 
 def test_relation_detects_differences():
@@ -431,7 +430,7 @@ def test_lockstep_reports_both_machines_stuck(monkeypatch):
 
 def test_lockstep_composed_reports_earliest_divergence(monkeypatch):
     def extra_stack_entry(extra):
-        return lambda rule, s: (rule, replace(s, stack=s.stack.cons(extra)))
+        return lambda rule, s: (rule, s._replace(stack=s.stack.cons(extra)))
 
     ct_fault = extra_stack_entry(initial_ct(down(IDENT)))
     monkeypatch.setattr(bisim, "step", _fault_at_call("ct", 4, ct_fault))
@@ -497,10 +496,10 @@ _EXTRA = {"ct": StateCT(IDENT, NIL, NIL, NIL), "gs": StateGS(IDENT, NIL, NIL, NI
 def _field_fault(machine, field):
     """Replace the term, drop the vector's first entry, or push an extra entry onto a list field."""
     if field == "term":
-        return lambda rule, s: (rule, replace(s, term=Lam(Lam(Var(0)))))
+        return lambda rule, s: (rule, s._replace(term=Lam(Lam(Var(0)))))
     if field == "vec":
-        return lambda rule, s: (rule, replace(s, vec=s.vec.tail))
-    return lambda rule, s: (rule, replace(s, **{field: getattr(s, field).cons(_EXTRA[machine])}))
+        return lambda rule, s: (rule, s._replace(vec=s.vec.tail))
+    return lambda rule, s: (rule, s._replace(**{field: getattr(s, field).cons(_EXTRA[machine])}))
 
 
 @pytest.mark.parametrize(

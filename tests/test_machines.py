@@ -1,9 +1,14 @@
 import copy
 import dataclasses
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +213,19 @@ def test_trace_shape():
     assert all(line["machine"] == "it" for line in lines)
 
 
+def test_trace_lines_are_sorted_compact_json():
+    # names the parser takes as \w+ but not ASCII; the heads print as index
+    # terms, with backslashes to escape
+    term = to_debruijn_gs(parse_gs(r"(\é. é é) (\ñ. getctx κ. setctx κ (ñ ñ))"))
+    events = [(i, e, machine) for machine in ("gs", "it") for i, e in enumerate(run(term, machine, 50, True).events)]
+    for head in ('λ "x"\t', "\u2028\x00"):
+        events += [(7, TraceEvent("final", head, 3, 12), machine) for machine in ("ct", "ït")]
+    for i, event, machine in events:
+        fields = {"head": event.head, "machine": machine, "mu_count": event.mu_count,
+                  "rule": event.rule, "stack_depth": event.stack_depth, "step": i}
+        assert event.to_json(i, machine) == json.dumps(fields, sort_keys=True, separators=(",", ":"))
+
+
 def test_trace_memory_per_event():
     # An event keeps only what its step adds: a four-field tuple record of
     # 80 B plus its slot in the trace, about 90 B on Python 3.11. Keeping its
@@ -379,7 +397,7 @@ def test_the_rule_oracle_takes_the_classes_step_takes(machine):
     with pytest.raises(TypeError, match=r"^not a \w+/\w+ term: "):
         step(odd_term)
     subclass = type(f"My{type(state).__name__}", (type(state),), {"__slots__": ()})
-    odd_state = subclass(*(getattr(state, f.name) for f in dataclasses.fields(state)))
+    odd_state = subclass(*(getattr(state, name) for name in state._fields))
     for value in (odd_state, 42):
         for function in (step, applicable_rules, describe_state):
             with pytest.raises(TypeError, match=r"^not a machine state: "):
@@ -499,38 +517,67 @@ def test_machine_records_stay_immutable(cls, fields):
     values = {name: i for i, name in enumerate(fields)}
     record = cls(**values)
     assert record == cls(*values.values())
+    assert not record != cls(*values.values())
     assert hash(record) == hash(cls(*values.values()))
-    assert record != tuple(values.values())
+    # equal only to a record of its own class, not to its tuple or a subclass's record
+    twin = type(f"My{cls.__name__}", (cls,), {"__slots__": ()})(*values.values())
+    for other in (tuple(values.values()), twin):
+        assert record != other and not record == other and other != record
     assert copy.copy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
     assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v}' for n, v in values.items())})"
-    for name in fields:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(record, name, -1)
-    # a name that is no field: FrozenInstanceError, or TypeError from the
-    # frozen __setattr__ of a slots dataclass on Python 3.11
-    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
-        record.extra = -1
-    changed = dataclasses.replace(record, **{fields[-1]: -1})
+    if issubclass(cls, tuple):  # a state record or trace event: a namedtuple class
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, -1)
+        changed = record._replace(**{fields[-1]: -1})
+    else:  # a term: a frozen slots dataclass
+        for name in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, -1)
+        # a name that is no field: FrozenInstanceError, or TypeError from the
+        # frozen __setattr__ of a slots dataclass on Python 3.11
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            record.extra = -1
+        changed = dataclasses.replace(record, **{fields[-1]: -1})
     assert getattr(changed, fields[-1]) == -1 and getattr(record, fields[-1]) == len(fields) - 1
-    assert changed != record
+    assert changed != record and type(changed) is cls
     with pytest.raises(TypeError):
         cls(*values.values(), -1)
+
+
+def _closure_chain(depth: int, leaf: int = 0) -> StateCT:
+    """A ct closure whose environment holds a closure, and so on, depth deep."""
+    closure = StateCT(Lam(Var(leaf)), NIL, NIL, NIL)
+    for _ in range(depth):
+        closure = StateCT(Lam(Var(0)), plist([closure]), NIL, NIL)
+    return closure
+
+
+def test_deep_records_compare_without_recursion():
+    # compared by nested calls, each level takes several interpreter frames,
+    # so a few hundred levels would reach the recursion limit
+    for depth in (300, 5000):
+        assert _closure_chain(depth) == _closure_chain(depth)
+        assert _closure_chain(depth) != _closure_chain(depth, leaf=1)
+        assert _closure_chain(depth) != _closure_chain(depth + 1)
+
+
+def test_shared_structure_is_compared_once():
+    # each ping-pong capture stacks closures that earlier captures hold too, so
+    # comparing the states of two runs as trees doubles the work every few steps
+    ping_pong = to_debruijn_gs(parse_gs(r"(\x. x x) (\y. getctx k. setctx k (y y))"))
+    start = time.perf_counter()
+    a, b = (run(ping_pong, "gs", 400).last_state for _ in range(2))
+    assert a == b and not a != b
+    assert a != run(ping_pong, "gs", 401).last_state
+    assert time.perf_counter() - start < 2
 
 
 def test_direct_init_rejects_fields_with_defaults():
     with_default = dataclasses.make_dataclass("WithDefault", [("x", int, 0)], frozen=True, slots=True)
     with pytest.raises(TypeError):
         terms._direct_init(with_default)
-
-
-def test_tuple_record_rejects_fields_with_defaults():
-    class WithDefault(tuple):
-        __slots__ = ()
-        x: int = 0
-
-    with pytest.raises(TypeError):
-        machines._tuple_record(WithDefault)
 
 
 def test_trace_heads_printed_once_per_subterm(monkeypatch):
@@ -554,3 +601,14 @@ def test_trace_heads_printed_once_per_subterm(monkeypatch):
         for event in result.events:
             assert event.head == print_term(state.term, CALCULUS[machine])
             _, state = step(state)
+
+
+def test_importing_machines_leaves_the_other_modules_out():
+    # the package root imports nothing, so a module pulls in only what it uses
+    src = str(Path(machines.__file__).resolve().parent.parent)
+    code = "import sys, coroutine_vm.machines; print(*sorted(m for m in sys.modules if m.startswith('coroutine_vm')))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = out.stdout.split()
+    assert "coroutine_vm.machines" in loaded
+    assert not {"coroutine_vm.bisim", "coroutine_vm.gen", "coroutine_vm.cli"} & set(loaded), loaded
