@@ -19,9 +19,12 @@ same corpus files, with the same environment. Per corpus file
     the untraced loop and the end state of a long run are compared too;
   * bisim in text and json at --max-steps 20000.
 
-Then `bisim --all corpus/gen` and a few `gen` commands. It prints how many
-commands it compared and each command whose stdout, stderr or exit code
-differs, and exits 1 if any does. Stdlib only.
+Then `bisim --all corpus/gen`, two long traces and a few `gen` commands.
+The long traces are `run --trace --format json --max-steps 200000` of
+corpus/omega.gs on it and of corpus/omega.ct on ct, 100 times the length
+of the 2000-step goldens. It prints how many commands it compared and each
+command whose stdout, stderr or exit code differs, and exits 1 if any does.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ from pathlib import Path
 from bench_pairs import ROOT, export_tree
 
 ENTRY = "import sys; from coroutine_vm.cli import main; sys.exit(main())"
+
+LONG_TRACE_COMMANDS = [
+    ["run", name, "--machine", machine, "--trace", "--format", "json", "--max-steps", "200000"]
+    for name, machine in (("corpus/omega.gs", "it"), ("corpus/omega.ct", "ct"))
+]
 
 GEN_COMMANDS = [
     ["gen", "--seed", "1", "--size", "20", "--count", "5"],
@@ -66,7 +74,7 @@ def commands() -> list[list[str]]:
         for fmt in ("text", "json"):
             out.append(["bisim", name, "--format", fmt, "--max-steps", "20000"])
     out.append(["bisim", "--all", "corpus/gen"])
-    return out + GEN_COMMANDS
+    return out + LONG_TRACE_COMMANDS + GEN_COMMANDS
 
 
 def run_cli(src: Path, argv: list[str]) -> tuple[str, str, int]:

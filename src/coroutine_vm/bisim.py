@@ -161,7 +161,7 @@ def _diamond_fields(x, y, todo: list, memo: dict) -> bool:
         key = (_DIAMOND_LABELS, id(a), id(b))
         if key not in memo:
             todo.append(memo.setdefault(key, (_DIAMOND_LABELS, a, b)))
-    return x.term is y.term or _same_term(x.term, y.term)
+    return x.term is y.term or x.term == y.term
 
 
 def _prove(todo: list, memo: dict) -> bool:
@@ -293,23 +293,6 @@ def _star_term(x, y, depth: int, vec: PList, table: PList) -> bool:
             todo.append((x.body, y.body, depth, table[label], table))
         else:
             return False
-    return True
-
-
-def _same_term(x, y) -> bool:
-    """Structural equality of two index terms, exact types included."""
-    todo = [(x, y)]
-    while todo:
-        x, y = todo.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, int):
-            if x != y:
-                return False
-            continue
-        todo.extend((getattr(x, name), getattr(y, name)) for name in type(x).__match_args__)
     return True
 
 # ---------------------------------------------------------------------------

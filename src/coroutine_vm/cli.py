@@ -16,6 +16,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -26,7 +27,7 @@ from . import bisim as bisim_mod
 from . import gen as gen_mod
 from .debruijn import to_debruijn_ct, to_debruijn_gs
 from .errors import WorkbenchError
-from .machines import CALCULUS, DEFAULT_MAX_STEPS, MAX_STEPS_ENV_VAR, RunResult, run
+from .machines import CALCULUS, DEFAULT_MAX_STEPS, MAX_STEPS_ENV_VAR, trace
 from .parser import parse
 from .safety import is_safe, safe_db, safe_named
 from .terms import print_term
@@ -58,15 +59,15 @@ def _load(path: Path, calculus: str):
     return parse(text, calculus)
 
 
-def _print_events(events, machine: str, fmt: str):
-    for step, event in enumerate(events or ()):
-        if fmt == "json":
-            print(event.to_json(step, machine))
-        else:
-            print(
-                f"step {step:>4}  {machine}  {event.rule:<13} "
-                f"stack={event.stack_depth} labels={event.mu_count}  {event.head}"
-            )
+def _printer(machine: str, fmt: str):
+    """An emit for trace that prints each event as its line; it counts the steps, since a step is its event's index."""
+    steps = itertools.count()
+    if fmt == "json":
+        return lambda event: print(event.to_json(next(steps), machine))
+    return lambda event: print(
+        f"step {next(steps):>4}  {machine}  {event.rule:<13} "
+        f"stack={event.stack_depth} labels={event.mu_count}  {event.head}"
+    )
 
 # ---------------------------------------------------------------------------
 # Subcommands
@@ -134,9 +135,7 @@ def cmd_run(args) -> int:
         )
     named = _load(path, calculus)
     term = to_debruijn_ct(named) if calculus == "ct" else to_debruijn_gs(named)
-    result: RunResult = run(term, machine, max_steps=args.max_steps, collect_trace=args.trace)
-    if args.trace:
-        _print_events(result.events, machine, args.format)
+    result = trace(term, machine, _printer(machine, args.format) if args.trace else None, args.max_steps)
     if result.kind == "final":
         print(f"final after {result.steps} steps: {print_term(result.closure.term, CALCULUS[machine])}")
         return EXIT_OK
@@ -235,13 +234,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("file")
     p_compile.set_defaults(func=cmd_compile)
 
+    fuel = dict(type=int, default=None, help=f"fuel (default ${MAX_STEPS_ENV_VAR} or {DEFAULT_MAX_STEPS})")
     p_run = sub.add_parser("run", help="execute a term on one of the machines")
     p_run.add_argument("file")
     p_run.add_argument("--calculus", choices=("ct", "gs"))
     p_run.add_argument("--machine", choices=("ct", "gs", "it"))
-    p_run.add_argument(
-        "--max-steps", type=int, default=None, help=f"fuel (default ${MAX_STEPS_ENV_VAR} or {DEFAULT_MAX_STEPS})"
-    )
+    p_run.add_argument("--max-steps", **fuel)
     p_run.add_argument("--trace", action="store_true", help="print one event per transition")
     p_run.add_argument("--format", choices=("text", "json"), default="text")
     p_run.set_defaults(func=cmd_run)
@@ -249,7 +247,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_bisim = sub.add_parser("bisim", help="drive the machines in lock step and compare states")
     p_bisim.add_argument("file", help="a .gs file, or a directory with --all")
     p_bisim.add_argument("--pair", choices=bisim_mod.PAIRS, default="composed")
-    p_bisim.add_argument("--max-steps", type=int, default=None)
+    p_bisim.add_argument("--max-steps", **fuel)
     p_bisim.add_argument("--all", action="store_true", help="check every .gs file in a directory")
     p_bisim.add_argument("--format", choices=("text", "json"), default="text")
     p_bisim.set_defaults(func=cmd_bisim)

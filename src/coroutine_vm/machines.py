@@ -25,10 +25,10 @@ builder and its rule table, a dict from term class to a rule, with every
 rule written once. A rule takes a configuration splatted, rule(term,
 *fields), and returns (RULE_* tag, next configuration) for a transition,
 (RULE_FINAL, None) or (RULE_STUCK, reason); an index or label outside
-0 <= i < length gets stuck. run and step drive the same tables: run steps
-plain tuples, and step takes a record, whose exact class picks the table,
-and returns the next record (the state itself for RULE_FINAL). The exact
-class of the term, type(term), picks the rule, so a subclass of a state or
+0 <= i < length gets stuck. trace and step drive the same tables: trace
+steps plain tuples, and step takes a record, whose exact class picks the
+table, and returns the next record (the state itself for RULE_FINAL). The
+exact class of the term, type(term), picks the rule, so a subclass of a state or
 term class has no rule and raises TypeError. applicable_rules is written
 from the rules' guards and never reads the tables: it is the independent
 oracle that the determinism checks hold the tables to.
@@ -40,8 +40,11 @@ State records are namedtuples that equal only a record of their own class
 (see _record), built only where a state is kept: a closure an app rule
 pushes, step's result and the end state of a run. A trace event is a record
 of what its step adds; its step is its index and its machine is the run's.
-run prints each subterm's trace head once per call, not once per step: the
-machines never build terms, so every head is a subterm of the input.
+trace, the one loop that runs a single machine, hands each event to emit
+as its step is taken, so its memory stays flat as the fuel grows; run
+collects the events when asked. trace prints each subterm's head once per
+call, not once per step: the machines never build terms, so every head is a
+subterm of the input.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from __future__ import annotations
 import json
 import os
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .errors import OpenTermError, WorkbenchError
@@ -389,12 +392,13 @@ class RunResult:
     events: tuple[TraceEvent, ...] | None = None
 
 
-def run(term: Term, machine: str, max_steps: int | None = None, collect_trace: bool = False) -> RunResult:
+def trace(term: Term, machine: str, emit: Callable[[TraceEvent], object] | None, max_steps: int | None = None) -> RunResult:
     """Iterate a machine from its initial state until final, stuck, or out of fuel.
 
     steps counts applied transitions; a term that is already a value finishes
-    in 0 steps. The trace, when collected, has one event per transition plus a
-    terminal final/stuck event (fuel exhaustion ends the trace without one).
+    in 0 steps. Unless emit is None, each event is passed to emit as its step
+    is taken: one per transition plus a terminal final/stuck event (fuel
+    exhaustion ends the trace without one). The result's events are None.
     Each step looks its rule up in the machine's table, as step does, but
     without calling step: it steps plain configurations and builds a record
     only for the state it returns.
@@ -405,7 +409,6 @@ def run(term: Term, machine: str, max_steps: int | None = None, collect_trace: b
     config = initial(term)
     calculus = CALCULUS[machine]
     fuel = resolve_max_steps(max_steps)
-    events: list[TraceEvent] | None = [] if collect_trace else None
     # Printed heads by id(subterm). The machines never build terms, so every
     # state's term is a subterm of `term`, which pins them all for this call.
     heads: dict[int, str] = {}
@@ -418,20 +421,26 @@ def run(term: Term, machine: str, max_steps: int | None = None, collect_trace: b
             raise _not_a_term(machine, t) from None
         rule, successor = apply(*config)
         halted = rule == RULE_FINAL or rule == RULE_STUCK
-        if events is not None and (halted or steps < fuel):
+        if emit is not None and (halted or steps < fuel):
             head = heads.get(id(t))
             if head is None:
                 head = heads[id(t)] = print_term(t, calculus)
             # the last two fields of every machine: its label stack and its stack
-            events.append(_new(TraceEvent, (rule, head, config[-1].length, config[-2].length)))
+            emit(_new(TraceEvent, (rule, head, config[-1].length, config[-2].length)))
         if halted or steps >= fuel:
             break
         config = successor
         steps += 1
-    trace = None if events is None else tuple(events)
     state = _new(cls, config)
     if rule == RULE_FINAL:
-        return RunResult("final", steps, closure=state, events=trace)
+        return RunResult("final", steps, closure=state)
     if rule == RULE_STUCK:
-        return RunResult("stuck", steps, reason=successor, last_state=state, events=trace)
-    return RunResult("fuel_exhausted", steps, last_state=state, events=trace)
+        return RunResult("stuck", steps, reason=successor, last_state=state)
+    return RunResult("fuel_exhausted", steps, last_state=state)
+
+
+def run(term: Term, machine: str, max_steps: int | None = None, collect_trace: bool = False) -> RunResult:
+    """trace's run, with its events collected into the result's events when collect_trace is set."""
+    events: list[TraceEvent] = []
+    result = trace(term, machine, events.append if collect_trace else None, max_steps)
+    return replace(result, events=tuple(events)) if collect_trace else result

@@ -14,7 +14,7 @@ Index terms use 0-based indices in two separate name spaces:
 
 The term classes are frozen slots dataclasses whose __init__ stores each
 field through its slot (see _direct_init), so building a node costs no
-generic object.__setattr__ call. print_term and the scope checks walk an
+generic object.__setattr__ call. ==, print_term and the scope checks walk an
 explicit work list, so they run at any nesting depth; they dispatch on the
 exact class of each node, so a subclass of a term class is not a term.
 """
@@ -131,6 +131,25 @@ class Throw:
 Term = Union[Var, App, Lam, Catch, Throw]
 # The *CT/*GS names only say which indexing a function expects.
 TermCT = TermGS = Term
+
+
+def _term_eq(self, other) -> bool:
+    """Structural equality on a work list, so it holds at any nesting depth; every
+    pair compared, an index or label too, is of one exact class (Var(1) != Var(True))."""
+    todo = [(self, other)]
+    while todo:
+        x, y = todo.pop()
+        cls = type(x)
+        if cls is not type(y) or cls.__eq__ is not _term_eq and x != y:
+            return False
+        if cls.__eq__ is _term_eq and x is not y:
+            todo += [(getattr(x, name), getattr(y, name)) for name in cls.__slots__]
+    return True
+
+
+# Set once the classes are made, so the dataclass hash stays; object.__ne__ inverts it.
+for _cls in (NVar, NApp, NLam, NCatch, NThrow, Var, App, Lam, Catch, Throw):
+    _cls.__eq__ = _term_eq
 
 # ---------------------------------------------------------------------------
 # Concrete syntax

@@ -1,8 +1,10 @@
+import contextlib
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -130,6 +132,24 @@ def test_run_json_trace_round_trips(corpus_dir, capsys):
     assert [e["rule"] for e in events] == ["catch_or_get", "throw_or_set", "final"]
     assert [e["step"] for e in events] == [0, 1, 2]
     assert set(events[0]) == {"step", "machine", "rule", "head", "stack_depth", "mu_count"}
+
+
+def test_traced_run_memory_does_not_grow_with_fuel(corpus_dir):
+    # each event is printed as its step is taken and then dropped: collected
+    # first, 50,000 omega events would hold about 4.7 MB
+    def peak(*flags):
+        argv = ["run", str(corpus_dir / "omega.gs"), "--machine", "it", *flags, "--max-steps", "50000"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(argv) == cli.EXIT_FUEL
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    untraced = peak()
+    for fmt in ("text", "json"):
+        assert peak("--trace", "--format", fmt) - untraced <= 500_000, fmt
 
 
 def test_run_rejects_machine_calculus_mismatch(corpus_dir, capsys):

@@ -40,6 +40,7 @@ from coroutine_vm.machines import (
     resolve_max_steps,
     run,
     step,
+    trace,
 )
 from coroutine_vm.parser import parse, parse_ct, parse_gs
 from coroutine_vm.plist import NIL, plist
@@ -493,6 +494,39 @@ def test_run_agrees_with_its_step_function(corpus_dir, monkeypatch):
         assert type(result.last_state) is cls, machine
 
 
+def test_trace_streams_the_run_that_run_collects(corpus_dir):
+    # run is trace with list.append for emit: the same events in order, and
+    # the same result but for events, which trace leaves None
+    for name, machine, term in _runs_to_compare(corpus_dir):
+        for fuel in (0, 1, 7, 2000):
+            collected = run(term, machine, max_steps=fuel, collect_trace=True)
+            emitted = []
+            streamed = trace(term, machine, emitted.append, fuel)
+            assert tuple(emitted) == collected.events and streamed.events is None, (name, machine, fuel)
+            assert streamed == dataclasses.replace(collected, events=None), (name, machine, fuel)
+
+
+def test_a_failing_emit_stops_the_run_at_its_first_event(monkeypatch):
+    # each event is emitted before the next step's rule is applied, so a
+    # closed pipe stops a run at once, not after its last step
+    omega = to_debruijn_gs(parse_gs(r"(\x. x x) (\x. x x)"))
+    for machine, (_, _, table) in MACHINES.items():
+        applied = []
+        for cls, rule in list(table.items()):
+            monkeypatch.setitem(table, cls, lambda *config, rule=rule: applied.append(rule) or rule(*config))
+        emitted = []
+
+        def emit(event):
+            emitted.append(event)
+            raise BrokenPipeError
+
+        term = down(omega) if machine == "ct" else omega
+        with pytest.raises(BrokenPipeError):
+            trace(term, machine, emit, 10**7)
+        assert (len(applied), len(emitted)) == (1, 1), machine
+        assert emitted[0].rule == RULE_APP, machine
+
+
 RECORD_FIELDS = [
     (StateCT, ("term", "env", "mu_env", "stack")),
     (StateGS, ("term", "lenv", "lenv_mu", "mu_env", "stack")),
@@ -561,6 +595,21 @@ def test_deep_records_compare_without_recursion():
         assert _closure_chain(depth) == _closure_chain(depth)
         assert _closure_chain(depth) != _closure_chain(depth, leaf=1)
         assert _closure_chain(depth) != _closure_chain(depth + 1)
+
+
+def test_deep_terms_compare_without_recursion():
+    # two separate parses share no node, so == walks every level of both
+    text = "\\x. " * 2000 + "x"
+    named, twin = parse_gs(text), parse_gs(text)
+    assert named == twin and not named != twin
+    assert named != parse_gs(text.replace("\\x. ", "\\y. ", 1))
+    term, other = to_debruijn_gs(named), to_debruijn_gs(twin)
+    assert term == other and not term != other
+    assert initial_gs(term) == initial_gs(other)
+    assert initial_gs(term) != initial_gs(to_debruijn_gs(parse_gs("\\x. " + text)))
+    # indices and labels compare by exact class, as the lock-step relations do
+    assert Var(1) != Var(True) and not Var(1) == Var(True)
+    assert Throw(0, Var(0)) != Throw(False, Var(0))
 
 
 def test_shared_structure_is_compared_once():
